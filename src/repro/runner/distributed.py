@@ -60,7 +60,9 @@ from __future__ import annotations
 import collections
 import json
 import os
+import random
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -100,6 +102,15 @@ DEFAULT_MAX_ATTEMPTS = 3
 FAULT_ENV = "REPRO_WORKER_FAULT"
 #: Recognized fault-injection modes for ``repro worker --fault``.
 WORKER_FAULTS = ("exit-on-task", "error-on-task")
+#: ``backoff_delays`` (base, cap) seconds for the pause before a requeued
+#: task may fall back to a worker it excludes (see :meth:`_Task.pace_retry`).
+EXCLUSION_BACKOFF = (0.5, 8.0)
+#: Longest the sweep broker holds an idle worker's ``next`` waiting for a
+#: task to come back or the sweep to finish (see :meth:`Broker._next_reply`).
+IDLE_HOLD_SECONDS = 0.05
+#: Pause an idle worker takes before asking again when nothing it may run
+#: is queued.
+IDLE_DELAY_SECONDS = 0.05
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -136,6 +147,123 @@ def _read(reader: Any) -> Optional[Dict[str, Any]]:
     return json.loads(line)
 
 
+#: ``SO_LINGER`` value for an abortive close: linger on, zero seconds.
+_ABORT = struct.pack("ii", 1, 0)
+
+
+def _no_delay(sock: socket.socket) -> socket.socket:
+    """Disable Nagle: the wire is one short line per request and reply.
+
+    With Nagle on, a worker's ``result`` followed by its ``next`` waits for
+    the ACK of the first line, which the peer delays (~40 ms on Linux), so
+    every task round trip stalls.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+class WorkerPlane:
+    """The worker-facing TCP listener both brokers share.
+
+    :meth:`start` binds, then runs one acceptor thread, which hands every
+    connection (Nagle off) to ``serve`` on its own handler thread, and one
+    monitor thread, which calls ``tick`` every ``interval`` seconds until
+    :meth:`close`.  ``serve`` owns the connection's protocol; the plane
+    tracks the socket and closes it when ``serve`` returns.
+    """
+
+    def __init__(
+        self,
+        serve: Callable[[socket.socket], None],
+        tick: Callable[[], None],
+        interval: float,
+    ) -> None:
+        self._serve = serve
+        self._tick = tick
+        self._interval = interval
+        self._lock = threading.Lock()
+        self._listener: Optional[socket.socket] = None
+        self.closed = threading.Event()
+        self.connections: List[socket.socket] = []
+        self.threads: List[threading.Thread] = []
+
+    def start(self, bind: Tuple[str, int], role: str) -> Tuple[str, int]:
+        """Bind ``(host, port)`` and start serving; returns the bound address."""
+        try:
+            self._listener = socket.create_server(bind)
+        except OSError as error:
+            raise ConfigurationError(
+                f"cannot bind {role} to {bind[0]}:{bind[1]}: {error}"
+            )
+        for target in (self._accept_loop, self._monitor_loop):
+            self._spawn(target)
+        host, port = self._listener.getsockname()[:2]
+        return host, port
+
+    def close(self) -> None:
+        self.closed.set()
+        listener = self._listener
+        if listener is not None:
+            # shutdown() first: on Linux, close() alone does not wake the
+            # thread blocked in accept(), and the join below would wait out
+            # its whole timeout.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            listener.close()
+        with self._lock:
+            connections = list(self.connections)
+        for conn in connections:
+            # shutdown(), not just close(): the handler thread's makefile()
+            # reader holds an io-ref, so close() alone defers the real FD
+            # close and the connection would silently stay alive.  Zero
+            # linger makes that close a reset: a worker blocked sending a
+            # checkpoint into the closed window would otherwise wait out the
+            # orphaned socket's FIN_WAIT2 timeout (60 s on Linux).
+            try:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _ABORT)
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for thread in list(self.threads):
+            thread.join(timeout=2.0)
+
+    def _spawn(self, target: Callable[..., None], *args: Any) -> None:
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        thread.start()
+        self.threads.append(thread)
+
+    def _accept_loop(self) -> None:
+        assert self._listener is not None
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # listener shut down
+            with self._lock:
+                if self.closed.is_set():
+                    conn.close()  # raced close(): it never saw this socket
+                    return
+                self.connections.append(_no_delay(conn))
+            self._spawn(self._handle, conn)
+
+    def _handle(self, conn: socket.socket) -> None:
+        try:
+            self._serve(conn)
+        finally:
+            with self._lock:
+                self.connections.remove(conn)
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def _monitor_loop(self) -> None:
+        while not self.closed.wait(self._interval):
+            self._tick()
+
+
 def claim_worker_name(requested: str, in_use: Any) -> str:
     """A connection-unique worker name: ``requested``, or ``requested#N``.
 
@@ -165,7 +293,7 @@ _READY, _LEASED, _DONE, _FAILED = "ready", "leased", "done", "failed"
 class _Task:
     __slots__ = ("position", "payload", "state", "attempts", "excluded",
                  "worker", "deadline", "errors", "checkpoint", "key",
-                 "first_assigned", "timed_out")
+                 "first_assigned", "timed_out", "retry_at", "backoff")
 
     def __init__(self, position: int, payload: Dict[str, Any]) -> None:
         self.position = position
@@ -188,15 +316,39 @@ class _Task:
         #: True when this task was terminally failed by a deadline, not by
         #: worker errors; surfaces as PartialSweepError on the sweep host.
         self.timed_out = False
+        #: Monotonic time before which the exclusion fallback holds this task
+        #: back, and the backoff schedule that sets it (see pace_retry).
+        self.retry_at = 0.0
+        self.backoff: Optional[Iterator[float]] = None
+
+    def pace_retry(self, now: float, rng: random.Random) -> None:
+        """Pause the exclusion fallback for this requeued task.
+
+        Exclusion is best-effort: a task that excludes every connected
+        worker falls back to one of them rather than wedge the sweep.  A
+        worker that fails instantly (broken environment) would otherwise
+        take its own retry straight back and burn the whole attempt budget
+        before a healthy worker has even connected.  Successive pauses grow
+        along :data:`EXCLUSION_BACKOFF`; a worker the task does not exclude
+        is never held back.
+        """
+        if self.backoff is None:
+            self.backoff = backoff_delays(*EXCLUSION_BACKOFF, rng=rng)
+        self.retry_at = now + next(self.backoff)
+
+    def fallback_ready(self, workers: set, now: float) -> bool:
+        """May the exclusion fallback hand this task to one of ``workers``?"""
+        return workers <= self.excluded and self.retry_at <= now
 
 
 class Broker:
     """Serve one batch of spec payloads to pull-based workers over TCP.
 
-    Thread layout: one acceptor, one connection handler per worker, one lease
-    monitor.  All task-state transitions happen under ``_lock``; completion
-    and terminal-failure events flow through ``_events`` to
-    :meth:`events`, which the executor consumes on the sweep host.
+    Sockets and threads (one acceptor, one connection handler per worker,
+    one lease monitor) live in a :class:`WorkerPlane`.  All task-state
+    transitions happen under ``_lock``; completion and terminal-failure
+    events flow through ``_events`` to :meth:`events`, which the executor
+    consumes on the sweep host.
     """
 
     def __init__(
@@ -211,6 +363,7 @@ class Broker:
         journal_dir: Optional[str] = None,
         spec_deadline_seconds: Optional[float] = None,
         sweep_deadline_seconds: Optional[float] = None,
+        rng: Optional[random.Random] = None,
     ) -> None:
         if lease_seconds <= 0:
             raise ConfigurationError("lease_seconds must be positive")
@@ -236,11 +389,18 @@ class Broker:
         self._ready: Deque[int] = collections.deque(range(len(self._tasks)))
         self._outstanding = len(self._tasks)
         self._lock = threading.Lock()
+        #: Notified under ``_lock`` whenever a task is queued again or one
+        #: goes terminal: wakes the idle workers ``_next_reply`` holds.
+        self._changed = threading.Condition(self._lock)
         self._events: "Queue[Tuple[str, int, Any]]" = Queue()
-        self._closed = threading.Event()
-        self._listener: Optional[socket.socket] = None
-        self._connections: List[socket.socket] = []
-        self._threads: List[threading.Thread] = []
+        interval = min(0.5, lease_seconds / 4.0)
+        for deadline in (spec_deadline_seconds, sweep_deadline_seconds):
+            if deadline is not None:
+                interval = min(interval, deadline / 4.0)
+        self._plane = WorkerPlane(
+            self._serve, self._expire_leases, max(interval, 0.02)
+        )
+        self._rng = rng or random.Random()
         self._workers: set = set()
         self.stats = {
             "assigned": 0, "completed": 0, "failed": 0, "requeued": 0,
@@ -250,7 +410,9 @@ class Broker:
         }
         self._journal: Optional[Any] = None
         if journal_dir is not None:
-            self._attach_journal(journal_dir)
+            # Replay goes through _finish_locked, which notifies _changed.
+            with self._lock:
+                self._attach_journal(journal_dir)
         if self.checkpoint_dir is not None:
             self._preload_checkpoints()
 
@@ -343,43 +505,12 @@ class Broker:
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "Broker":
-        try:
-            self._listener = socket.create_server(self._bind)
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot bind broker to {self._bind[0]}:{self._bind[1]}: {error}"
-            )
-        self.host, self.port = self._listener.getsockname()[:2]
+        self.host, self.port = self._plane.start(self._bind, "broker")
         self._started_at = time.monotonic()
-        for target in (self._accept_loop, self._monitor_loop):
-            thread = threading.Thread(target=target, daemon=True)
-            thread.start()
-            self._threads.append(thread)
         return self
 
     def close(self) -> None:
-        self._closed.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            connections = list(self._connections)
-        for conn in connections:
-            # shutdown(), not just close(): the handler thread's makefile()
-            # reader holds an io-ref, so close() alone defers the real FD
-            # close and the connection would silently stay alive.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+        self._plane.close()
         if self._journal is not None:
             self._journal.close()
 
@@ -402,7 +533,7 @@ class Broker:
 
     def closed(self) -> bool:
         """True once :meth:`close` ran (chaos drills poll this mid-kill)."""
-        return self._closed.is_set()
+        return self._plane.closed.is_set()
 
     def timed_out_positions(self) -> set:
         """Positions terminally failed by a spec deadline or the sweep budget."""
@@ -452,19 +583,6 @@ class Broker:
             yield event
 
     # ----------------------------------------------------- connection side
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closed.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break  # listener closed
-            with self._lock:
-                self._connections.append(conn)
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
     def _serve(self, conn: socket.socket) -> None:
         # Live peers are chatty (idle workers poll every ~50 ms, leased ones
         # heartbeat every lease/3), so a generous read timeout only ever
@@ -495,7 +613,7 @@ class Broker:
                             "worker": worker,
                         })
                     elif kind == "next":
-                        _send(conn, write_lock, self._assign(worker))
+                        _send(conn, write_lock, self._next_reply(worker))
                     elif kind in ("heartbeat", "result", "error",
                                   "checkpoint", "release"):
                         task_id = int(message["task"])
@@ -524,11 +642,35 @@ class Broker:
         except OSError:
             pass
         finally:
-            self._disconnect(worker, conn)
+            self._disconnect(worker)
 
     # ------------------------------------------------------ state machine
+    def _next_reply(self, worker: str) -> Dict[str, Any]:
+        """Answer ``next``, holding an idle worker until something changes.
+
+        A worker with nothing to run is not told to come back later at
+        once: its reply waits up to :data:`IDLE_HOLD_SECONDS` for a task to
+        be queued again or the sweep to finish.  The worker that idles at
+        the end of a sweep thus gets ``drain`` the moment the last result
+        lands, rather than on its next poll.  A hold that times out answers
+        ``idle`` with no delay, so the worker asks again straight away and
+        is held again.
+        """
+        reply = self._assign(worker)
+        if reply["type"] != "idle":
+            return reply
+        with self._changed:
+            changed = self._changed.wait_for(
+                lambda: self._outstanding == 0 or bool(self._ready),
+                timeout=IDLE_HOLD_SECONDS,
+            )
+        if not changed:
+            return {"type": "idle", "delay": 0.0}
+        return self._assign(worker)
+
     def _assign(self, worker: str) -> Dict[str, Any]:
         with self._lock:
+            now = time.monotonic()
             chosen: Optional[int] = None
             for task_id in self._ready:
                 if worker not in self._tasks[task_id].excluded:
@@ -537,9 +679,10 @@ class Broker:
             if chosen is None:
                 # Exclusion is best-effort: a task that excludes every
                 # currently connected worker has nobody left to serve it and
-                # would wedge the sweep — retrying beats deadlocking.
+                # would wedge the sweep — retrying (after the task's retry
+                # pause) beats deadlocking.
                 for task_id in self._ready:
-                    if self._workers <= self._tasks[task_id].excluded:
+                    if self._tasks[task_id].fallback_ready(self._workers, now):
                         chosen = task_id
                         break
             if chosen is not None:
@@ -548,7 +691,6 @@ class Broker:
                 task.state = _LEASED
                 task.worker = worker
                 task.attempts += 1
-                now = time.monotonic()
                 if task.first_assigned is None:
                     task.first_assigned = now
                 task.deadline = now + self.lease_seconds
@@ -567,7 +709,7 @@ class Broker:
                 return message
             if self._outstanding == 0:
                 return {"type": "drain"}
-            return {"type": "idle", "delay": 0.05}
+            return {"type": "idle", "delay": IDLE_DELAY_SECONDS}
 
     def _extend_lease(self, task_id: int, worker: str) -> None:
         with self._lock:
@@ -637,6 +779,7 @@ class Broker:
             task.state = _READY
             task.worker = None
             self._ready.append(task.position)
+            self._changed.notify_all()
             self.stats["released"] += 1
             self._journal_append({"kind": "released", "key": task.key})
         if snapshot is not None:
@@ -684,16 +827,13 @@ class Broker:
             # host with a broken environment errors instantly and would
             # otherwise re-poll and burn the spec's whole attempt budget in
             # milliseconds.  Exclusion is best-effort (see _assign), so on a
-            # single-worker fleet the retry still lands on the same worker.
+            # single-worker fleet the retry still lands on the same worker,
+            # after the task's retry pause.
             self._requeue_or_fail_locked(task, reason, exclude=True)
 
-    def _disconnect(self, worker: str, conn: socket.socket) -> None:
+    def _disconnect(self, worker: str) -> None:
         with self._lock:
             self._workers.discard(worker)
-            try:
-                self._connections.remove(conn)
-            except ValueError:
-                pass
             leased = [
                 task for task in self._tasks
                 if task.state == _LEASED and task.worker == worker
@@ -703,56 +843,46 @@ class Broker:
                 self._requeue_or_fail_locked(
                     task, f"worker {worker} disconnected mid-spec", exclude=True
                 )
-        try:
-            conn.close()
-        except OSError:
-            pass
 
-    def _monitor_loop(self) -> None:
-        interval = min(0.5, self.lease_seconds / 4.0)
-        if self.spec_deadline_seconds is not None:
-            interval = min(interval, self.spec_deadline_seconds / 4.0)
-        if self.sweep_deadline_seconds is not None:
-            interval = min(interval, self.sweep_deadline_seconds / 4.0)
-        interval = max(interval, 0.02)
-        while not self._closed.wait(interval):
-            now = time.monotonic()
-            with self._lock:
+    def _expire_leases(self) -> None:
+        """Monitor tick: enforce lease expiry and the spec/sweep deadlines."""
+        now = time.monotonic()
+        with self._lock:
+            for task in self._tasks:
+                if task.state in (_DONE, _FAILED):
+                    continue
+                if (
+                    self.spec_deadline_seconds is not None
+                    and task.first_assigned is not None
+                    and now - task.first_assigned > self.spec_deadline_seconds
+                ):
+                    self._time_out_locked(
+                        task,
+                        f"spec deadline exceeded "
+                        f"({self.spec_deadline_seconds}s since first "
+                        f"assignment)",
+                    )
+                    continue
+                if task.state == _LEASED and task.deadline < now:
+                    self.stats["expired"] += 1
+                    self._requeue_or_fail_locked(
+                        task,
+                        f"lease expired on worker {task.worker} "
+                        f"(no heartbeat for {self.lease_seconds}s)",
+                        exclude=True,
+                    )
+            if (
+                self.sweep_deadline_seconds is not None
+                and self._started_at is not None
+                and now - self._started_at > self.sweep_deadline_seconds
+            ):
                 for task in self._tasks:
-                    if task.state in (_DONE, _FAILED):
-                        continue
-                    if (
-                        self.spec_deadline_seconds is not None
-                        and task.first_assigned is not None
-                        and now - task.first_assigned > self.spec_deadline_seconds
-                    ):
+                    if task.state not in (_DONE, _FAILED):
                         self._time_out_locked(
                             task,
-                            f"spec deadline exceeded "
-                            f"({self.spec_deadline_seconds}s since first "
-                            f"assignment)",
+                            f"sweep budget exhausted "
+                            f"({self.sweep_deadline_seconds}s)",
                         )
-                        continue
-                    if task.state == _LEASED and task.deadline < now:
-                        self.stats["expired"] += 1
-                        self._requeue_or_fail_locked(
-                            task,
-                            f"lease expired on worker {task.worker} "
-                            f"(no heartbeat for {self.lease_seconds}s)",
-                            exclude=True,
-                        )
-                if (
-                    self.sweep_deadline_seconds is not None
-                    and self._started_at is not None
-                    and now - self._started_at > self.sweep_deadline_seconds
-                ):
-                    for task in self._tasks:
-                        if task.state not in (_DONE, _FAILED):
-                            self._time_out_locked(
-                                task,
-                                f"sweep budget exhausted "
-                                f"({self.sweep_deadline_seconds}s)",
-                            )
 
     def _time_out_locked(self, task: _Task, reason: str) -> None:
         """Terminally fail a wedged task so the sweep degrades gracefully.
@@ -785,9 +915,12 @@ class Broker:
         if task.attempts >= self.max_attempts:
             self._finish_locked(task, _FAILED)
         else:
+            if exclude:
+                task.pace_retry(time.monotonic(), self._rng)
             task.state = _READY
             task.worker = None
             self._ready.append(task.position)
+            self._changed.notify_all()
             self.stats["requeued"] += 1
 
     def _finish_locked(
@@ -800,6 +933,7 @@ class Broker:
         task.state = state
         task.worker = None
         self._outstanding -= 1
+        self._changed.notify_all()
         if state == _DONE:
             if journal:
                 self._journal_append({
@@ -839,7 +973,7 @@ def _connect(host: str, port: int, timeout: float = 10.0) -> socket.socket:
     delays = backoff_delays(0.05, 1.0)
     while True:
         try:
-            return socket.create_connection((host, port), timeout=30.0)
+            return _no_delay(socket.create_connection((host, port), timeout=30.0))
         except OSError:
             remaining = deadline - time.monotonic()
             if remaining <= 0:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import random
+import select
 import subprocess
 import sys
 import threading
@@ -77,6 +78,25 @@ class _BackoffIterator:
         delay = self._delay * self._rng.uniform(0.5, 1.5)
         self._delay = min(self._delay * 2.0, self._cap)
         return delay
+
+
+def wait_exit(proc: subprocess.Popen, timeout: float) -> int:
+    """``proc.wait(timeout)`` that returns the moment the process exits.
+
+    Given a timeout, ``Popen.wait`` polls with sleeps of up to 50 ms, so a
+    worker that exits is reaped up to 50 ms late.  Where the platform has
+    process file descriptors (Linux), waiting on one wakes at the exit
+    itself.  Raises :class:`subprocess.TimeoutExpired` like ``Popen.wait``.
+    """
+    try:
+        handle = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        return proc.wait(timeout=timeout)
+    try:
+        select.select([handle], [], [], timeout)
+    finally:
+        os.close(handle)
+    return proc.wait(timeout=0)
 
 
 def _worker_command(
@@ -333,7 +353,7 @@ class WorkerSupervisor:
         for proc in procs:
             if proc.poll() is None:
                 try:
-                    proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+                    wait_exit(proc, max(0.1, deadline - time.monotonic()))
                 except subprocess.TimeoutExpired:
                     proc.terminate()
                     try:

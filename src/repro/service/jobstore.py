@@ -32,6 +32,7 @@ job:
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 import uuid
@@ -211,6 +212,7 @@ class JobStore:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         checkpoint_every: Optional[int] = None,
+        rng: Optional[random.Random] = None,
     ) -> None:
         if lease_seconds <= 0:
             raise ConfigurationError("lease_seconds must be positive")
@@ -220,6 +222,7 @@ class JobStore:
             raise ConfigurationError(
                 "checkpoint_every must be a positive event count"
             )
+        self._rng = rng or random.Random()
         self.cache = cache
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
@@ -439,6 +442,7 @@ class JobStore:
         answers ``idle``, and pools are expected to run with ``--redial``.
         """
         with self._lock:
+            now = time.monotonic()
             order = self._scheduler.order(
                 job_id for job_id, job in self._jobs.items() if job.ready
             )
@@ -454,11 +458,14 @@ class JobStore:
             if chosen is None:
                 # Exclusion is best-effort, as in the single-sweep broker: a
                 # spec that excludes every connected worker has nobody left
-                # to serve it — retrying beats wedging the job forever.
+                # to serve it — retrying (after the spec's retry pause)
+                # beats wedging the job forever.
                 for job_id in order:
                     job = self._jobs[job_id]
                     for position in job.ready:
-                        if self._workers <= job.tasks[position].excluded:
+                        if job.tasks[position].fallback_ready(
+                            self._workers, now
+                        ):
                             chosen = (job, position)
                             break
                     if chosen is not None:
@@ -471,7 +478,6 @@ class JobStore:
             task.state = _LEASED
             task.worker = worker
             task.attempts += 1
-            now = time.monotonic()
             if task.first_assigned is None:
                 task.first_assigned = now
             task.deadline = now + self.lease_seconds
@@ -758,6 +764,8 @@ class JobStore:
         if task.attempts >= self.max_attempts:
             self._finish_task_locked(job, task, _FAILED)
         else:
+            if exclude:
+                task.pace_retry(time.monotonic(), self._rng)
             task.state = _READY
             task.worker = None
             job.ready.append(task.position)

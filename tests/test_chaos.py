@@ -38,6 +38,7 @@ from repro.runner.chaos import (
     run_subprocess_drill,
     verify_against_serial,
 )
+from repro.runner.supervisor import wait_exit
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -52,10 +53,17 @@ def tightloop_spec(num_cores=8, iterations=2):
     )
 
 
-def drill_grid():
+#: Seconds after sweep start over which the embedded drills place kills.
+DRILL_WINDOW = (0.2, 1.5)
+#: Tightloop iterations of the drill grid: enough work that the sweep
+#: outlasts DRILL_WINDOW, so every scheduled kill lands mid-sweep.
+DRILL_ITERATIONS = (200, 400)
+
+
+def drill_grid(iterations=DRILL_ITERATIONS):
     return [
-        tightloop_spec(num_cores, iterations)
-        for iterations in (60, 120)
+        tightloop_spec(num_cores, count)
+        for count in iterations
         for num_cores in (8, 16)
     ]
 
@@ -85,11 +93,17 @@ class TestEmbeddedDrill:
     def test_seeded_schedule_is_bit_identical_to_serial(self, seed, tmp_path):
         specs = drill_grid()
         schedule = ChaosSchedule.generate(
-            seed, targets=("broker", "worker"), window=(0.2, 1.5), workers=2
+            seed, targets=("broker", "worker"), window=DRILL_WINDOW, workers=2
         )
         report = run_embedded_drill(
             specs, schedule, tmp_path / "journal",
             pool=2, lease_seconds=10.0, checkpoint_every=2000, timeout=120.0,
+        )
+        # A kill scheduled after the sweep finished is skipped; the drill
+        # only proves recovery if every kill landed.
+        landed = report.broker_restarts + report.worker_kills
+        assert landed == len(schedule.kills), (
+            f"{schedule.describe()}: only {landed} kill(s) landed mid-sweep"
         )
         problems = verify_against_serial(specs, report)
         assert problems == [], f"{schedule.describe()}: {problems}"
@@ -118,9 +132,28 @@ class TestSubprocessDrill:
         assert code == 0, "\n".join(messages)
 
 
+class TestWaitExit:
+    def test_returns_the_exit_status(self):
+        proc = subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+        assert wait_exit(proc, 30.0) == 3
+        assert proc.returncode == 3
+
+    def test_times_out_like_popen_wait(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"]
+        )
+        try:
+            with pytest.raises(subprocess.TimeoutExpired):
+                wait_exit(proc, 0.01)
+            assert proc.returncode is None
+        finally:
+            proc.kill()
+            proc.wait()
+
+
 class TestWorkerSupervisor:
     def test_killed_worker_is_respawned_and_the_sweep_completes(self):
-        specs = drill_grid()
+        specs = drill_grid(iterations=(60, 120))
         broker = Broker(
             [spec.to_dict() for spec in specs], lease_seconds=10.0
         ).start()

@@ -1,16 +1,19 @@
 """Fault-injection and wire-path tests for the distributed sweep executor.
 
-Every test here exercises real sockets: the broker binds an ephemeral
-localhost port and the workers are genuine ``python -m repro worker``
-subprocesses (via :class:`LocalCluster`), so handshake, leases, heartbeats,
-retry, exclusion, and drain all run over the actual JSON-lines-over-TCP
-protocol.
+Apart from the socket-free state-machine tests at the top, every test here
+exercises real sockets: the broker binds an ephemeral localhost port and the
+workers are genuine ``python -m repro worker`` subprocesses (via
+:class:`LocalCluster`), so handshake, leases, heartbeats, retry, exclusion,
+and drain all run over the actual JSON-lines-over-TCP protocol.
 """
 
 import json
+import os
+import random
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -26,9 +29,19 @@ from repro.runner import (
     RunSpec,
     SerialExecutor,
 )
-from repro.runner.distributed import parse_address
+from repro.runner import distributed
+from repro.runner.distributed import (
+    EXCLUSION_BACKOFF,
+    IDLE_DELAY_SECONDS,
+    _handshake,
+    parse_address,
+)
+from repro.runner.supervisor import backoff_delays
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: Repeats of the sick-worker sweep; the distributed-smoke CI job sets 20.
+SICK_WORKER_RUNS = int(os.environ.get("REPRO_SICK_WORKER_RUNS", "1"))
 
 
 def quick_fig7():
@@ -113,9 +126,14 @@ class TestBroker:
             assert json.loads(reader.readline())["type"] == "task"
             sock.sendall(b'{"type": "result", "task": 0, "result": {}}\n')
             # The spec must be assignable again (best-effort fallback: we are
-            # the only connected worker, even though we are now excluded).
-            sock.sendall(b'{"type": "next"}\n')
-            assert json.loads(reader.readline())["type"] == "task"
+            # the only connected worker, even though we are now excluded) —
+            # but only after its retry pause, answered with idle meanwhile.
+            replies = []
+            while "task" not in replies and len(replies) < 500:
+                sock.sendall(b'{"type": "next"}\n')
+                replies.append(json.loads(reader.readline())["type"])
+                time.sleep(0.01)
+            assert replies[0] == "idle" and replies[-1] == "task"
             sock.close()
         finally:
             broker.close()
@@ -140,6 +158,193 @@ class TestBroker:
                 Broker([], port=port).start()
         finally:
             blocker.close()
+
+
+class FakeClock:
+    """A settable stand-in for ``time.monotonic``."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(time, "monotonic", fake)
+    return fake
+
+
+def pauses(seed):
+    """The retry pauses a broker seeded with ``seed`` draws, in order."""
+    return backoff_delays(*EXCLUSION_BACKOFF, rng=random.Random(seed))
+
+
+class TestExclusionFallbackPacing:
+    """The best-effort exclusion fallback waits out a backoff pause.
+
+    Driven socket-free on the broker state machine with a fake clock and a
+    seeded rng, so every pause is known exactly.
+    """
+
+    def _broker(self, workers):
+        broker = Broker(
+            [tightloop_spec(4).to_dict()], lease_seconds=10.0,
+            rng=random.Random(7),
+        )
+        broker._workers = set(workers)
+        return broker
+
+    def test_excluded_worker_idles_until_the_pause_has_passed(self, clock):
+        broker = self._broker({"sick"})
+        assert broker._assign("sick")["type"] == "task"
+        broker._report_error(0, "sick", "boom")
+        retry_at = clock.now + next(pauses(7))
+        assert broker._tasks[0].retry_at == retry_at
+        assert broker._assign("sick")["type"] == "idle"
+        clock.now = retry_at - 1e-6
+        assert broker._assign("sick")["type"] == "idle"
+        clock.now = retry_at
+        assert broker._assign("sick")["type"] == "task"
+
+    def test_fresh_worker_gets_the_requeued_task_at_once(self, clock):
+        broker = self._broker({"sick"})
+        broker._assign("sick")
+        broker._report_error(0, "sick", "boom")
+        broker._workers.add("fresh")
+        assert broker._assign("sick")["type"] == "idle"
+        assert broker._assign("fresh")["type"] == "task"
+        assert broker._tasks[0].attempts == 2
+
+    def test_single_worker_fleet_still_reaches_its_retries(self, clock):
+        broker = self._broker({"only"})
+        expected = pauses(7)
+        for attempt in range(1, 4):
+            assert broker._assign("only")["type"] == "task"
+            assert broker._tasks[0].attempts == attempt
+            broker._report_error(0, "only", f"boom {attempt}")
+            if attempt < 3:
+                # Each pause follows the backoff schedule, so it grows.
+                assert broker._tasks[0].retry_at == clock.now + next(expected)
+                assert broker._assign("only")["type"] == "idle"
+                clock.now = broker._tasks[0].retry_at
+        assert broker.stats["failed"] == 1 and broker.stats["requeued"] == 2
+        assert broker._assign("only")["type"] == "drain"
+
+    def test_expired_lease_requeue_is_paced_too(self, clock):
+        broker = self._broker({"only"})
+        broker._assign("only")
+        with broker._lock:
+            broker._requeue_or_fail_locked(
+                broker._tasks[0], "lease expired", exclude=True
+            )
+        assert broker._assign("only")["type"] == "idle"
+        clock.now = broker._tasks[0].retry_at
+        assert broker._assign("only")["type"] == "task"
+
+
+class _SignallingCondition(threading.Condition):
+    """A condition that reports when a thread starts waiting on it."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
+class TestIdleHold:
+    """An idle worker's ``next`` is held until work or the drain arrives.
+
+    Socket-free: ``_next_reply`` runs on a helper thread.  The hold is
+    stretched far past the test's run time, so a reply at all proves a state
+    change woke the held worker, not the timeout.
+    """
+
+    @pytest.fixture(autouse=True)
+    def long_hold(self, monkeypatch):
+        monkeypatch.setattr(distributed, "IDLE_HOLD_SECONDS", 60.0)
+
+    def _broker(self, max_attempts=3):
+        broker = Broker(
+            [tightloop_spec(4).to_dict()], lease_seconds=10.0,
+            max_attempts=max_attempts, rng=random.Random(7),
+        )
+        broker._workers = {"busy", "idle"}
+        broker._changed = _SignallingCondition(broker._lock)
+        assert broker._assign("busy")["type"] == "task"
+        return broker
+
+    def _hold(self, broker, worker):
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(broker._next_reply(worker))
+        )
+        thread.start()
+        assert broker._changed.waiting.wait(10.0)
+        return thread, replies
+
+    def test_last_task_going_terminal_drains_the_held_worker(self):
+        broker = self._broker(max_attempts=1)
+        thread, replies = self._hold(broker, "idle")
+        broker._report_error(0, "busy", "boom")  # last attempt: terminal
+        thread.join(10.0)
+        assert replies == [{"type": "drain"}]
+
+    def test_requeued_task_goes_to_the_held_worker(self):
+        broker = self._broker()
+        thread, replies = self._hold(broker, "idle")
+        broker._report_error(0, "busy", "boom")  # requeued, "busy" excluded
+        thread.join(10.0)
+        assert [reply["type"] for reply in replies] == ["task"]
+        assert broker._tasks[0].worker == "idle"
+
+    def test_a_hold_that_runs_out_answers_idle_without_delay(self, monkeypatch):
+        monkeypatch.setattr(distributed, "IDLE_HOLD_SECONDS", 0.0)
+        broker = self._broker()
+        assert broker._next_reply("idle") == {"type": "idle", "delay": 0.0}
+
+    def test_a_queue_of_excluded_tasks_is_not_held(self, clock):
+        # The retry pause is the fallback's own wait: the excluded worker
+        # is answered at once and told to pause like any idle poll.
+        broker = self._broker()
+        broker._workers = {"busy"}
+        broker._report_error(0, "busy", "boom")
+        assert broker._next_reply("busy") == {
+            "type": "idle", "delay": IDLE_DELAY_SECONDS,
+        }
+
+
+class TestWirePath:
+    def test_close_stops_every_broker_thread(self):
+        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
+        broker.start()
+        sock, *_ = _handshake("127.0.0.1", broker.port, "probe")
+        try:
+            broker.close()
+            threads = broker._plane.threads
+            assert len(threads) == 3  # acceptor, lease monitor, one handler
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sock.close()
+
+    def test_both_ends_of_a_worker_connection_disable_nagle(self):
+        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
+        broker.start()
+        try:
+            # _handshake dials with _connect; the welcome proves the broker
+            # accepted the connection and handed it to its handler.
+            sock, *_ = _handshake("127.0.0.1", broker.port, "probe")
+            (accepted,) = broker._plane.connections
+            for end in (sock, accepted):
+                assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            sock.close()
+        finally:
+            broker.close()
 
 
 class TestQuickAxes:
@@ -225,10 +430,13 @@ class TestDistributedExecutor:
         assert executor.last_stats["requeued"] == 1
         assert executor.last_stats["failed"] == 0
 
-    def test_sick_worker_does_not_burn_the_retry_budget(self):
+    @pytest.mark.parametrize("run", range(SICK_WORKER_RUNS))
+    def test_sick_worker_does_not_burn_the_retry_budget(self, run):
         # One worker errors instantly on every task (broken environment).
         # Error reports exclude the reporter, so each spec costs at most one
         # wasted attempt and the healthy worker completes the whole sweep.
+        # The sick worker usually connects first; the paced exclusion
+        # fallback keeps it from taking its own retries straight back.
         sweep = fig7_sweep(core_counts=[8], iterations=2)
         executor = DistributedExecutor(
             workers=2, faults=["error-on-task", None], lease_seconds=10.0

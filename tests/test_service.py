@@ -9,6 +9,7 @@ never reach a worker twice.
 """
 
 import json
+import random
 import socket
 import threading
 import time
@@ -20,16 +21,18 @@ from repro.experiments.fig7_tightloop import fig7_sweep
 from repro.machine.results import SimResult
 from repro.runner import ResultCache, Runner, RunSpec, SerialExecutor, SweepSpec
 from repro.runner.chaos import results_identical
-from repro.runner.distributed import run_worker
+from repro.runner.distributed import EXCLUSION_BACKOFF, _handshake, run_worker
 from repro.runner.executor import execute_spec
 from repro.runner.journal import ServiceJournal
 from repro.runner.service_client import ServiceClient, ServiceExecutor
+from repro.runner.supervisor import backoff_delays
 from repro.service import (
     JOB_CANCELLED,
     JOB_COMPLETED,
     JOB_FAILED,
     JOB_QUEUED,
     JobStore,
+    ServiceBroker,
     SweepService,
     format_task_id,
     parse_task_id,
@@ -123,6 +126,53 @@ class TestJobStoreBasics:
         # Job a's spec now excludes w; job b's spec must not.
         message = store.assign("w")
         assert parse_task_id(message["task"])[0] == b["job"]
+
+
+class TestExclusionFallbackPacing:
+    """The store's exclusion fallback waits out the same backoff pause as
+    the single-sweep broker's (socket-free: fake clock, seeded rng)."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [1000.0]
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        return now
+
+    def _store_with_failed_task(self, workers):
+        store = JobStore(max_attempts=3, rng=random.Random(7))
+        store.submit(small_sweep(cores=(4,)))
+        for worker in workers:
+            store.claim_worker(worker)
+        message = store.assign("sick")
+        job_id, position = parse_task_id(message["task"])
+        store.error(job_id, position, "sick", "boom")
+        return store, job_id, position
+
+    def test_excluded_worker_idles_until_the_pause_has_passed(self, clock):
+        store, job_id, position = self._store_with_failed_task(["sick"])
+        pause = next(backoff_delays(*EXCLUSION_BACKOFF, rng=random.Random(7)))
+        assert store.assign("sick")["type"] == "idle"
+        clock[0] += pause - 1e-6
+        assert store.assign("sick")["type"] == "idle"
+        clock[0] += 1e-6
+        message = store.assign("sick")
+        assert parse_task_id(message["task"]) == (job_id, position)
+
+    def test_fresh_worker_gets_the_requeued_task_at_once(self, clock):
+        store, job_id, position = self._store_with_failed_task(["sick"])
+        fresh = store.claim_worker("fresh")
+        assert store.assign("sick")["type"] == "idle"
+        assert parse_task_id(store.assign(fresh)["task"]) == (job_id, position)
+
+    def test_single_worker_fleet_still_reaches_its_retries(self, clock):
+        store, job_id, position = self._store_with_failed_task(["sick"])
+        for _ in range(2):
+            clock[0] += EXCLUSION_BACKOFF[1] * 1.5  # past any pause
+            message = store.assign("sick")
+            assert parse_task_id(message["task"]) == (job_id, position)
+            store.error(job_id, position, "sick", "boom")
+        assert store.job_summary(job_id)["state"] == JOB_FAILED
+        assert store.stats["requeued"] == 2
 
 
 class TestFairShare:
@@ -332,6 +382,25 @@ class TestServiceBrokerSocket:
             assert reply2["worker"] == "twin#2"
             sock1.close()
             sock2.close()
+
+    def test_close_stops_every_plane_thread(self):
+        broker = ServiceBroker(JobStore()).start()
+        sock, *_ = _handshake("127.0.0.1", broker.port, "probe")
+        try:
+            broker.close()
+            threads = broker._plane.threads
+            assert len(threads) == 3  # acceptor, lease monitor, one handler
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sock.close()
+
+    def test_both_ends_of_a_worker_connection_disable_nagle(self):
+        with SweepService() as svc:
+            sock, *_ = _handshake("127.0.0.1", svc.worker_address[1], "probe")
+            (accepted,) = svc.broker._plane.connections
+            for end in (sock, accepted):
+                assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            sock.close()
 
     def test_idle_reply_never_drains(self):
         with SweepService() as svc:
