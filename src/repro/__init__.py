@@ -28,45 +28,44 @@ Typical use::
     print(result.summary())
 """
 
-from repro.config import (
-    BackoffConfig,
-    BroadcastMemoryConfig,
-    CacheConfig,
-    CoreConfig,
-    DataChannelConfig,
-    MachineConfig,
-    MemoryConfig,
-    NocConfig,
-    SyncConfig,
-    ToneChannelConfig,
-    default_machine_config,
-)
-from repro.machine import (
-    Manycore,
-    Program,
-    SimResult,
-    baseline,
-    baseline_plus,
-    config_by_name,
-    paper_configurations,
-    sensitivity_variants,
-    wisync,
-    wisync_not,
-)
-from repro.analysis import MetricFrame, Report, compare_frames, load_frame
-from repro.runner import (
-    DistributedExecutor,
-    ParallelExecutor,
-    ResultCache,
-    Runner,
-    RunSpec,
-    SerialExecutor,
-    SweepResult,
-    SweepSpec,
-    register_workload,
-    workload_names,
-)
-from repro.sync import SyncFactory
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config": (
+        "BackoffConfig",
+        "BroadcastMemoryConfig",
+        "CacheConfig",
+        "CoreConfig",
+        "DataChannelConfig",
+        "MachineConfig",
+        "MemoryConfig",
+        "NocConfig",
+        "SyncConfig",
+        "ToneChannelConfig",
+        "default_machine_config",
+    ),
+    "repro.machine.configs": (
+        "baseline",
+        "baseline_plus",
+        "config_by_name",
+        "paper_configurations",
+        "sensitivity_variants",
+        "wisync",
+        "wisync_not",
+    ),
+    "repro.machine.manycore": ("Manycore", "Program"),
+    "repro.machine.results": ("SimResult",),
+    "repro.analysis.frame": ("MetricFrame",),
+    "repro.analysis.report": ("Report",),
+    "repro.analysis.compare": ("compare_frames", "load_frame"),
+    "repro.runner.distributed": ("DistributedExecutor",),
+    "repro.runner.executor": ("ParallelExecutor", "SerialExecutor"),
+    "repro.runner.cache": ("ResultCache",),
+    "repro.runner.runner": ("Runner", "SweepResult"),
+    "repro.runner.spec": ("RunSpec", "SweepSpec"),
+    "repro.runner.registry": ("register_workload", "workload_names"),
+    "repro.sync.api": ("SyncFactory",),
+})
 
 __version__ = "1.2.0"
 

@@ -12,23 +12,31 @@
   Table 4 analytical model and fixed-width text rendering.
 """
 
-from repro.analysis.area_power import CORE_REFERENCES, CoreReference, area_power_table
-from repro.analysis.compare import (
-    FrameComparison,
-    MetricDelta,
-    bench_frame,
-    compare_frames,
-    load_frame,
-)
-from repro.analysis.frame import Column, MetricFrame, Pivot, frame_from_sweep
-from repro.analysis.metrics import (
-    cycles_per_operation,
-    speedup,
-    speedups_over_baseline,
-    throughput_per_kcycle,
-)
-from repro.analysis.report import AggregateRow, Report
-from repro.analysis.tables import format_table, render_columns, render_mapping
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.area_power": (
+        "CORE_REFERENCES",
+        "CoreReference",
+        "area_power_table",
+    ),
+    "repro.analysis.compare": (
+        "FrameComparison",
+        "MetricDelta",
+        "bench_frame",
+        "compare_frames",
+        "load_frame",
+    ),
+    "repro.analysis.frame": ("Column", "MetricFrame", "Pivot", "frame_from_sweep"),
+    "repro.analysis.metrics": (
+        "cycles_per_operation",
+        "speedup",
+        "speedups_over_baseline",
+        "throughput_per_kcycle",
+    ),
+    "repro.analysis.report": ("AggregateRow", "Report"),
+    "repro.analysis.tables": ("format_table", "render_columns", "render_mapping"),
+})
 
 __all__ = [
     "CoreReference",

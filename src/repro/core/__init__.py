@@ -7,13 +7,17 @@ AllocB/ActiveB tables, and the :class:`~repro.core.fabric.BroadcastFabric`
 that connects all of it to the wireless Data and Tone channels.
 """
 
-from repro.core.allocator import BmAllocator
-from repro.core.bm_controller import BmController, RmwResult
-from repro.core.broadcast_memory import BmEntry, BroadcastMemory
-from repro.core.fabric import BroadcastFabric
-from repro.core.node import WiSyncNode
-from repro.core.tone_controller import ToneController
-from repro.core.translation import BmTlb, PageMapping
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.allocator": ("BmAllocator",),
+    "repro.core.bm_controller": ("BmController", "RmwResult"),
+    "repro.core.broadcast_memory": ("BmEntry", "BroadcastMemory"),
+    "repro.core.fabric": ("BroadcastFabric",),
+    "repro.core.node": ("WiSyncNode",),
+    "repro.core.tone_controller": ("ToneController",),
+    "repro.core.translation": ("BmTlb", "PageMapping"),
+})
 
 __all__ = [
     "BmEntry",

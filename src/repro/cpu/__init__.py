@@ -6,7 +6,11 @@ model here is timing-abstract: a thread issues operations, the core accounts
 for its busy/stalled cycles, and compute phases advance time directly.
 """
 
-from repro.cpu.core import Core
-from repro.cpu.thread import SimThread, ThreadContext, ThreadState
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cpu.core": ("Core",),
+    "repro.cpu.thread": ("SimThread", "ThreadContext", "ThreadState"),
+})
 
 __all__ = ["Core", "SimThread", "ThreadContext", "ThreadState"]

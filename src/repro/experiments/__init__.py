@@ -15,40 +15,59 @@ the ``format_*`` helpers render those dicts through the same Report, so the
 directory wraps these functions with pytest-benchmark.
 """
 
-from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep, format_fig7, run_fig7
-from repro.experiments.scenarios import (
-    format_scenarios,
-    run_scenarios,
-    scenario_frame,
-    scenario_sweep,
-    scenarios_report,
-)
-from repro.experiments.fig8_livermore import FIG8_REPORT, fig8_sweep, format_fig8, run_fig8
-from repro.experiments.fig9_cas import FIG9_REPORT, fig9_sweep, format_fig9, run_fig9
-from repro.experiments.fig10_applications import (
-    fig10_report,
-    fig10_sweep,
-    format_fig10,
-    run_fig10,
-)
-from repro.experiments.fig11_sensitivity import (
-    FIG11_REPORT,
-    fig11_sweep,
-    format_fig11,
-    run_fig11,
-)
-from repro.experiments.table4_area_power import (
-    TABLE4_REPORT,
-    format_table4,
-    run_table4,
-    table4_frame,
-)
-from repro.experiments.table5_utilization import (
-    TABLE5_REPORT,
-    format_table5,
-    run_table5,
-    table5_sweep,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.fig7_tightloop": (
+        "FIG7_REPORT",
+        "fig7_sweep",
+        "format_fig7",
+        "run_fig7",
+    ),
+    "repro.experiments.scenarios": (
+        "format_scenarios",
+        "run_scenarios",
+        "scenario_frame",
+        "scenario_sweep",
+        "scenarios_report",
+    ),
+    "repro.experiments.fig8_livermore": (
+        "FIG8_REPORT",
+        "fig8_sweep",
+        "format_fig8",
+        "run_fig8",
+    ),
+    "repro.experiments.fig9_cas": (
+        "FIG9_REPORT",
+        "fig9_sweep",
+        "format_fig9",
+        "run_fig9",
+    ),
+    "repro.experiments.fig10_applications": (
+        "fig10_report",
+        "fig10_sweep",
+        "format_fig10",
+        "run_fig10",
+    ),
+    "repro.experiments.fig11_sensitivity": (
+        "FIG11_REPORT",
+        "fig11_sweep",
+        "format_fig11",
+        "run_fig11",
+    ),
+    "repro.experiments.table4_area_power": (
+        "TABLE4_REPORT",
+        "format_table4",
+        "run_table4",
+        "table4_frame",
+    ),
+    "repro.experiments.table5_utilization": (
+        "TABLE5_REPORT",
+        "format_table5",
+        "run_table5",
+        "table5_sweep",
+    ),
+})
 
 __all__ = [
     "run_fig7", "format_fig7", "fig7_sweep", "FIG7_REPORT",

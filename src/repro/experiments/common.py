@@ -12,20 +12,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.config import MachineConfig
-from repro.machine.configs import baseline, baseline_plus, wisync, wisync_not
+from repro.machine.configs import CONFIG_BUILDERS
 from repro.machine.manycore import Manycore
 from repro.machine.results import SimResult
 from repro.runner.runner import Runner, default_runner
 from repro.runner.spec import RunSpec, SweepSpec
-
-#: The Table 2 configurations in the paper's presentation order.
-CONFIG_BUILDERS: Dict[str, Callable[..., MachineConfig]] = {
-    "Baseline": baseline,
-    "Baseline+": baseline_plus,
-    "WiSyncNoT": wisync_not,
-    "WiSync": wisync,
-}
 
 
 def config_names(include_baseline: bool = True) -> List[str]:

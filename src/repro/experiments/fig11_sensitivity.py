@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.report import Report, group_by, speedup_over, where
-from repro.experiments.common import CONFIG_BUILDERS, run_frame, specs_over_configs
-from repro.machine.configs import sensitivity_variants
+from repro.experiments.common import run_frame, specs_over_configs
+from repro.machine.configs import variant_names
 from repro.runner.runner import Runner
 from repro.runner.spec import SweepSpec
 
@@ -43,11 +43,6 @@ FIG11_REPORT = Report(
     series_order=FIG11_CONFIGS,
     filter_present=False,
 )
-
-
-def variant_names(num_cores: int = 64) -> List[str]:
-    """The Table 6 variant names, in the paper's order."""
-    return list(sensitivity_variants(CONFIG_BUILDERS["Baseline"](num_cores=num_cores)))
 
 
 def fig11_sweep(

@@ -6,27 +6,31 @@ the timing models (caches, NoC, wireless network, broadcast memory) and sends
 back the architectural result (loaded value, CAS success flag, ...).
 """
 
-from repro.isa.operations import (
-    AtomicOp,
-    BmAlloc,
-    BmBulkLoad,
-    BmBulkStore,
-    BmFree,
-    BmLoad,
-    BmRmw,
-    BmStore,
-    BmWaitUntil,
-    Compute,
-    Fence,
-    Read,
-    RmwKind,
-    ToneBarrierAlloc,
-    ToneLoad,
-    ToneStore,
-    ToneWait,
-    WaitUntil,
-    Write,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.isa.operations": (
+        "AtomicOp",
+        "BmAlloc",
+        "BmBulkLoad",
+        "BmBulkStore",
+        "BmFree",
+        "BmLoad",
+        "BmRmw",
+        "BmStore",
+        "BmWaitUntil",
+        "Compute",
+        "Fence",
+        "Read",
+        "RmwKind",
+        "ToneBarrierAlloc",
+        "ToneLoad",
+        "ToneStore",
+        "ToneWait",
+        "WaitUntil",
+        "Write",
+    ),
+})
 
 __all__ = [
     "Compute",

@@ -24,24 +24,28 @@ reason``; grandfather pre-existing findings with a baseline file
 
 from __future__ import annotations
 
-from repro.lint.engine import (
-    Finding,
-    LintEngine,
-    ModuleInfo,
-    ModuleWalker,
-    ProjectRule,
-    Rule,
-    SCOPE_LIBRARY,
-    SCOPE_PROJECT,
-    SCOPE_SIM_CORE,
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    SIM_CORE_PACKAGES,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.rules import default_rules
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lint.engine": (
+        "Finding",
+        "LintEngine",
+        "ModuleInfo",
+        "ModuleWalker",
+        "ProjectRule",
+        "Rule",
+        "SCOPE_LIBRARY",
+        "SCOPE_PROJECT",
+        "SCOPE_SIM_CORE",
+        "SEVERITY_ERROR",
+        "SEVERITY_WARNING",
+        "SIM_CORE_PACKAGES",
+        "apply_baseline",
+        "load_baseline",
+        "write_baseline",
+    ),
+    "repro.lint.rules": ("default_rules",),
+})
 
 __all__ = [
     "Finding",

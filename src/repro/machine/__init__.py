@@ -11,17 +11,21 @@ parallel executor's process boundary and the on-disk result cache of
 :mod:`repro.runner`.
 """
 
-from repro.machine.configs import (
-    baseline,
-    baseline_plus,
-    config_by_name,
-    paper_configurations,
-    sensitivity_variants,
-    wisync,
-    wisync_not,
-)
-from repro.machine.manycore import Manycore, Program
-from repro.machine.results import SimResult
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.machine.configs": (
+        "baseline",
+        "baseline_plus",
+        "config_by_name",
+        "paper_configurations",
+        "sensitivity_variants",
+        "wisync",
+        "wisync_not",
+    ),
+    "repro.machine.manycore": ("Manycore", "Program"),
+    "repro.machine.results": ("SimResult",),
+})
 
 __all__ = [
     "Manycore",

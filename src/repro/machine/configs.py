@@ -18,7 +18,7 @@ SlowBMEM) are produced by :func:`sensitivity_variants`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.config import (
     CacheConfig,
@@ -80,6 +80,15 @@ def wisync(num_cores: int = 64, seed: int = 2016) -> MachineConfig:
     ).validate()
 
 
+#: The Table 2 configurations by their paper label, in presentation order.
+CONFIG_BUILDERS: Dict[str, Callable[..., MachineConfig]] = {
+    "Baseline": baseline,
+    "Baseline+": baseline_plus,
+    "WiSyncNoT": wisync_not,
+    "WiSync": wisync,
+}
+
+
 def paper_configurations(num_cores: int = 64, seed: int = 2016) -> List[MachineConfig]:
     """The four Table 2 configurations, in the paper's order."""
     return [
@@ -133,3 +142,8 @@ def sensitivity_variants(base: MachineConfig) -> Dict[str, MachineConfig]:
         "FastNet": with_params("fastnet", l2=6, bm_rt=2, hop=2),
         "SlowBMEM": with_params("slowbmem", l2=6, bm_rt=4, hop=4),
     }
+
+
+def variant_names(num_cores: int = 64) -> List[str]:
+    """The Table 6 variant names, in the paper's order."""
+    return list(sensitivity_variants(baseline(num_cores=num_cores)))

@@ -7,11 +7,15 @@ each access computes a completion cycle from cache state, directory state,
 mesh distance, and serialization at the home bank.
 """
 
-from repro.mem.address import AddressMap
-from repro.mem.cache import CacheArray
-from repro.mem.directory import Directory, DirectoryEntry, LineState
-from repro.mem.dram import DramModel
-from repro.mem.hierarchy import MemorySystem
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mem.address": ("AddressMap",),
+    "repro.mem.cache": ("CacheArray",),
+    "repro.mem.directory": ("Directory", "DirectoryEntry", "LineState"),
+    "repro.mem.dram": ("DramModel",),
+    "repro.mem.hierarchy": ("MemorySystem",),
+})
 
 __all__ = [
     "AddressMap",

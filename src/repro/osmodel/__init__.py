@@ -8,8 +8,12 @@ scheduler that supports preemption and migration with the paper's tone-
 barrier restriction.
 """
 
-from repro.osmodel.process import OsProcess, ProcessTable
-from repro.osmodel.scheduler import Scheduler, ThreadPlacement
-from repro.osmodel.vm import BmVirtualMemory
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.osmodel.process": ("OsProcess", "ProcessTable"),
+    "repro.osmodel.scheduler": ("Scheduler", "ThreadPlacement"),
+    "repro.osmodel.vm": ("BmVirtualMemory",),
+})
 
 __all__ = ["OsProcess", "ProcessTable", "Scheduler", "ThreadPlacement", "BmVirtualMemory"]

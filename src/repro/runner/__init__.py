@@ -7,47 +7,51 @@ process pool, optionally memoized in an on-disk :class:`ResultCache`, and
 driven either from Python (:class:`Runner`) or the ``python -m repro`` CLI.
 """
 
-from repro.runner.cache import ResultCache
-from repro.runner.chaos import (
-    ChaosSchedule,
-    KillEvent,
-    run_embedded_drill,
-    verify_against_serial,
-)
-from repro.runner.distributed import (
-    Broker,
-    DistributedExecutor,
-    LocalCluster,
-    run_worker,
-)
-from repro.runner.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    backoff_variant,
-    execute_spec,
-)
-from repro.runner.journal import (
-    BrokerJournal,
-    JournalWarning,
-    ServiceJournal,
-    TaskReplay,
-)
-from repro.runner.service_client import ServiceClient, ServiceExecutor
-from repro.runner.supervisor import WorkerSupervisor, backoff_delays
-from repro.runner.registry import (
-    REGISTRY,
-    WorkloadRegistry,
-    register_workload,
-    workload_names,
-)
-from repro.runner.runner import (
-    Runner,
-    SpecProgress,
-    SweepProgressHook,
-    SweepResult,
-    default_runner,
-)
-from repro.runner.spec import DEFAULT_SEED, RunSpec, SweepSpec
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runner.cache": ("ResultCache",),
+    "repro.runner.chaos": (
+        "ChaosSchedule",
+        "KillEvent",
+        "run_embedded_drill",
+        "verify_against_serial",
+    ),
+    "repro.runner.distributed": (
+        "Broker",
+        "DistributedExecutor",
+        "LocalCluster",
+        "run_worker",
+    ),
+    "repro.runner.executor": (
+        "ParallelExecutor",
+        "SerialExecutor",
+        "backoff_variant",
+        "execute_spec",
+    ),
+    "repro.runner.journal": (
+        "BrokerJournal",
+        "JournalWarning",
+        "ServiceJournal",
+        "TaskReplay",
+    ),
+    "repro.runner.service_client": ("ServiceClient", "ServiceExecutor"),
+    "repro.runner.supervisor": ("WorkerSupervisor", "backoff_delays"),
+    "repro.runner.registry": (
+        "REGISTRY",
+        "WorkloadRegistry",
+        "register_workload",
+        "workload_names",
+    ),
+    "repro.runner.runner": (
+        "Runner",
+        "SpecProgress",
+        "SweepProgressHook",
+        "SweepResult",
+        "default_runner",
+    ),
+    "repro.runner.spec": ("DEFAULT_SEED", "RunSpec", "SweepSpec"),
+})
 
 __all__ = [
     "DEFAULT_SEED",

@@ -75,19 +75,24 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ReproError
-from repro.runner.cache import ResultCache
-from repro.runner.distributed import (
-    WORKER_FAULTS,
-    DistributedExecutor,
-    parse_address,
-    run_worker,
-)
-from repro.runner.executor import ParallelExecutor, SerialExecutor
 from repro.runner.registry import workload_names
-from repro.runner.runner import Runner, SpecProgress
+from repro.runner.supervisor import WORKER_FAULTS
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.runner.runner import Runner, SpecProgress
 
 
 class _CountingExecutor:
@@ -337,6 +342,12 @@ REPORTS: Dict[str, Callable[[argparse.Namespace, Runner], Any]] = {
     "table5": _report_table5,
     "scenarios": _report_scenarios,
 }
+
+
+#: ``repro profile`` targets: the pinned sweeps of
+#: :data:`repro.runner.profile.PROFILE_SWEEPS` plus the snapshot-restore
+#: micro-benchmark.  Kept here so parsing never imports the profiler.
+PROFILE_NAMES = ("fig10", "fig7", "fig8", "fig9", "restore", "scenarios")
 
 
 # --------------------------------------------------------------------------
@@ -873,9 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="time a pinned sweep, write BENCH_<experiment>.json, optionally gate on a baseline",
     )
-    from repro.runner.profile import profile_names
-
-    profile_parser.add_argument("experiment", choices=profile_names())
+    profile_parser.add_argument("experiment", choices=PROFILE_NAMES)
     profile_parser.add_argument(
         "--quick", action="store_true",
         help="use the smaller pinned grid (what the CI perf-smoke job runs)",
@@ -906,8 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Commands
 # --------------------------------------------------------------------------
 def _cmd_list(args: argparse.Namespace) -> int:
-    from repro.experiments.common import CONFIG_BUILDERS
-    from repro.experiments.fig11_sensitivity import variant_names
+    from repro.machine.configs import CONFIG_BUILDERS, variant_names
 
     inventory = {
         "experiments": sorted(EXPERIMENTS),
@@ -981,6 +989,9 @@ def _build_executor(
     journal_dir: Optional[str] = None,
     auto_snapshot: Optional[int] = None,
 ):
+    from repro.runner.distributed import DistributedExecutor, parse_address
+    from repro.runner.executor import ParallelExecutor, SerialExecutor
+
     spec_deadline = getattr(args, "spec_deadline", None)
     sweep_deadline = getattr(args, "sweep_deadline", None)
     submit = getattr(args, "submit", None)
@@ -1047,6 +1058,9 @@ def _build_executor(
 
 def _build_runner(args: argparse.Namespace, manifest: Optional[Any] = None):
     """The cache/executor/progress plumbing shared by ``run`` and ``report``."""
+    from repro.runner.cache import ResultCache
+    from repro.runner.runner import Runner
+
     _apply_quick(args)
     if args.iterations is None:
         args.iterations = 5
@@ -1148,6 +1162,8 @@ def _write_text(payload: str, path: str) -> None:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.runner.distributed import parse_address, run_worker
+
     host, port = parse_address(args.connect)
     try:
         completed = run_worker(
@@ -1163,6 +1179,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_workers(args: argparse.Namespace) -> int:
+    from repro.runner.distributed import parse_address
     from repro.runner.supervisor import run_supervisor
 
     host, port = parse_address(args.connect)
@@ -1539,41 +1556,46 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint.cli import run_lint
+
+    return run_lint(args)
+
+
+COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "list": _cmd_list,
+    "scenarios": _cmd_scenarios,
+    "profile": _cmd_profile,
+    "worker": _cmd_worker,
+    "workers": _cmd_workers,
+    "serve": _cmd_serve,
+    "jobs": _cmd_jobs,
+    "chaos": _cmd_chaos,
+    "snapshot": _cmd_snapshot,
+    "debug": _cmd_debug,
+    "report": _cmd_report,
+    "compare": _cmd_compare,
+    "lint": _cmd_lint,
+    "run": _cmd_run,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "scenarios":
-            return _cmd_scenarios(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "workers":
-            return _cmd_workers(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "jobs":
-            return _cmd_jobs(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "snapshot":
-            return _cmd_snapshot(args)
-        if args.command == "debug":
-            return _cmd_debug(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "lint":
-            from repro.lint.cli import run_lint
-
-            return run_lint(args)
-        return _cmd_run(args)
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro list | head``).  Point
+        # stdout at devnull so the interpreter's exit-time flush cannot
+        # raise a second time, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

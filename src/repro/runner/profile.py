@@ -105,7 +105,9 @@ RESTORE_CUTS = (0.10, 0.50, 0.90)
 
 
 def profile_names() -> List[str]:
-    return sorted([*PROFILE_SWEEPS, "restore"])
+    from repro.runner.cli import PROFILE_NAMES
+
+    return list(PROFILE_NAMES)
 
 
 def _restore_spec(quick: bool):

@@ -8,21 +8,25 @@ resumes its jobs on restart.  See ``README.md`` ("Sweep service") for the
 operational guide.
 """
 
-from repro.service.daemon import ServiceBroker, SweepService, run_service
-from repro.service.jobstore import (
-    JOB_CANCELLED,
-    JOB_COMPLETED,
-    JOB_FAILED,
-    JOB_QUEUED,
-    JOB_RUNNING,
-    TERMINAL_JOB_STATES,
-    Job,
-    JobStore,
-    format_task_id,
-    parse_task_id,
-)
-from repro.service.httpapi import ServiceHTTPServer
-from repro.service.scheduler import STRIDE_SCALE, FairShareScheduler
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.daemon": ("ServiceBroker", "SweepService", "run_service"),
+    "repro.service.jobstore": (
+        "JOB_CANCELLED",
+        "JOB_COMPLETED",
+        "JOB_FAILED",
+        "JOB_QUEUED",
+        "JOB_RUNNING",
+        "TERMINAL_JOB_STATES",
+        "Job",
+        "JobStore",
+        "format_task_id",
+        "parse_task_id",
+    ),
+    "repro.service.httpapi": ("ServiceHTTPServer",),
+    "repro.service.scheduler": ("STRIDE_SCALE", "FairShareScheduler"),
+})
 
 __all__ = [
     "JOB_CANCELLED",

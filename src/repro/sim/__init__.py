@@ -7,11 +7,15 @@ helpers (:mod:`repro.sim.stats`).  Higher layers (memory, NoC, wireless,
 machine) schedule callbacks on the shared simulator instance.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.sim.process import SimProcess, Timeout, WaitCondition
-from repro.sim.rng import DeterministicRng
-from repro.sim.stats import Counter, Histogram, StatsRegistry, UtilizationTracker
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Simulator",),
+    "repro.sim.events": ("Event",),
+    "repro.sim.process": ("SimProcess", "Timeout", "WaitCondition"),
+    "repro.sim.rng": ("DeterministicRng",),
+    "repro.sim.stats": ("Counter", "Histogram", "StatsRegistry", "UtilizationTracker"),
+})
 
 __all__ = [
     "Simulator",

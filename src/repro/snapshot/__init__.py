@@ -25,38 +25,42 @@ plus :class:`CheckpointRing` (the bounded auto-snapshot buffer behind
 debugger in :mod:`repro.snapshot.debugger`).
 """
 
-from repro.snapshot.execution import (
-    DEFAULT_MAX_EVENTS,
-    ExecutionPreempted,
-    SpecExecution,
-    execute_with_checkpoints,
-    resume_to_completion,
-    run_prefix,
-    snapshot_after,
-)
-from repro.snapshot.format import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    STRATEGY_NATIVE,
-    STRATEGY_REPLAY,
-    Snapshot,
-    SnapshotWarning,
-    checkpoint_path,
-    load_snapshot,
-    parse_document,
-    save_snapshot,
-    snapshot_document,
-    try_load_snapshot,
-)
-from repro.snapshot.ring import CheckpointRing, RingEntry, ring_path, ring_paths
-from repro.snapshot.manifest import (
-    DEFAULT_RUNS_DIR,
-    RUNS_DIR_ENV,
-    RunManifest,
-    available_runs,
-    new_run_id,
-    runs_root,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.snapshot.execution": (
+        "DEFAULT_MAX_EVENTS",
+        "ExecutionPreempted",
+        "SpecExecution",
+        "execute_with_checkpoints",
+        "resume_to_completion",
+        "run_prefix",
+        "snapshot_after",
+    ),
+    "repro.snapshot.format": (
+        "SNAPSHOT_FORMAT",
+        "SNAPSHOT_VERSION",
+        "STRATEGY_NATIVE",
+        "STRATEGY_REPLAY",
+        "Snapshot",
+        "SnapshotWarning",
+        "checkpoint_path",
+        "load_snapshot",
+        "parse_document",
+        "save_snapshot",
+        "snapshot_document",
+        "try_load_snapshot",
+    ),
+    "repro.snapshot.ring": ("CheckpointRing", "RingEntry", "ring_path", "ring_paths"),
+    "repro.snapshot.manifest": (
+        "DEFAULT_RUNS_DIR",
+        "RUNS_DIR_ENV",
+        "RunManifest",
+        "available_runs",
+        "new_run_id",
+        "runs_root",
+    ),
+})
 
 __all__ = [
     "SNAPSHOT_FORMAT",

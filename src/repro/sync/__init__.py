@@ -8,20 +8,24 @@ locks / centralized barriers (Baseline), MCS locks / tournament barriers
 (WiSyncNoT / WiSync).
 """
 
-from repro.sync.api import SyncFactory
-from repro.sync.barriers import (
-    Barrier,
-    CentralizedBarrier,
-    ToneBarrier,
-    TournamentBarrier,
-    WirelessBarrier,
-)
-from repro.sync.cells import AtomicCell, BroadcastCell, CachedCell
-from repro.sync.eureka import OrBarrier
-from repro.sync.locks import CasSpinLock, Lock, McsLock, WirelessLock
-from repro.sync.producer_consumer import ProducerConsumerChannel
-from repro.sync.reduction import Reducer
-from repro.sync.rwlock import ReadersWriterLock
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sync.api": ("SyncFactory",),
+    "repro.sync.barriers": (
+        "Barrier",
+        "CentralizedBarrier",
+        "ToneBarrier",
+        "TournamentBarrier",
+        "WirelessBarrier",
+    ),
+    "repro.sync.cells": ("AtomicCell", "BroadcastCell", "CachedCell"),
+    "repro.sync.eureka": ("OrBarrier",),
+    "repro.sync.locks": ("CasSpinLock", "Lock", "McsLock", "WirelessLock"),
+    "repro.sync.producer_consumer": ("ProducerConsumerChannel",),
+    "repro.sync.reduction": ("Reducer",),
+    "repro.sync.rwlock": ("ReadersWriterLock",),
+})
 
 __all__ = [
     "SyncFactory",

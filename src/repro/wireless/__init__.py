@@ -7,23 +7,27 @@ active barriers), plus the per-node transceiver MAC and the RF area/power
 scaling model of Section 2.
 """
 
-from repro.wireless.backoff import (
-    BackoffPolicy,
-    BroadcastAwareBackoff,
-    ExponentialBackoff,
-    FixedBackoff,
-    make_backoff,
-)
-from repro.wireless.channel import DataChannel, WirelessMessage
-from repro.wireless.link_budget import (
-    RfDesignPoint,
-    YU_65NM_REFERENCE,
-    scale_design_point,
-    tone_extension_cost,
-    wisync_rf_budget,
-)
-from repro.wireless.tone import ToneChannel
-from repro.wireless.transceiver import Transceiver
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.wireless.backoff": (
+        "BackoffPolicy",
+        "BroadcastAwareBackoff",
+        "ExponentialBackoff",
+        "FixedBackoff",
+        "make_backoff",
+    ),
+    "repro.wireless.channel": ("DataChannel", "WirelessMessage"),
+    "repro.wireless.link_budget": (
+        "RfDesignPoint",
+        "YU_65NM_REFERENCE",
+        "scale_design_point",
+        "tone_extension_cost",
+        "wisync_rf_budget",
+    ),
+    "repro.wireless.tone": ("ToneChannel",),
+    "repro.wireless.transceiver": ("Transceiver",),
+})
 
 __all__ = [
     "BackoffPolicy",

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.machine.manycore import Manycore, Program
-from repro.machine.results import SimResult
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.manycore import Manycore, Program
+    from repro.machine.results import SimResult
 
 
 @dataclass

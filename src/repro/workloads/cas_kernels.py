@@ -18,14 +18,16 @@ experiment computes throughput per 1000 cycles.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.frames import START, Call, FrameBody, Op, Ret
 from repro.isa.operations import Compute, Read, Write
-from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.sync.api import SyncFactory
 from repro.workloads.base import WorkloadHandle
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.manycore import Manycore
 
 
 class CasKernelKind(enum.Enum):

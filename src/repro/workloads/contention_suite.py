@@ -24,14 +24,16 @@ x backoff policy through :mod:`repro.experiments.scenarios` and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.isa.operations import Compute, Read, Write
-from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.sync.api import SyncFactory
 from repro.workloads.base import WorkloadHandle
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.manycore import Manycore
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import WorkloadError
-from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.workloads.base import WorkloadHandle
 from repro.workloads.tightloop import build_tightloop
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.manycore import Manycore
 
 
 @register_workload("fault_probe")

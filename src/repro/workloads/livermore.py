@@ -19,16 +19,18 @@ synchronization structure:
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.frames import START, Call, FrameBody, Op, Ret
 from repro.errors import WorkloadError
 from repro.isa.operations import Compute, Read
-from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.sync.api import SyncFactory
 from repro.sync.frames import barrier_wait, cell_fetch_add
 from repro.workloads.base import WorkloadHandle
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.manycore import Manycore
 
 #: Cycles of floating-point work charged per vector element processed.
 CYCLES_PER_ELEMENT = {2: 4, 3: 2, 6: 2}

@@ -16,16 +16,18 @@ synchronize too rarely for WiSync to matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.errors import WorkloadError
 from repro.isa.operations import Compute, Read
-from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.sync.api import SyncFactory
 from repro.sync.frames import barrier_wait, cell_fetch_add, lock_acquire, lock_release
 from repro.workloads.base import WorkloadHandle
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.manycore import Manycore
 
 
 @dataclass(frozen=True)

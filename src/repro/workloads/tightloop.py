@@ -12,15 +12,17 @@ run restores natively in O(1) instead of replaying the event history.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.isa.operations import Compute, Read
-from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.sync.api import SyncFactory
 from repro.sync.frames import barrier_wait
 from repro.workloads.base import WorkloadHandle
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.manycore import Manycore
 
 #: Elements in each thread's private array (from the paper's description).
 ARRAY_ELEMENTS = 50
