@@ -9,19 +9,21 @@ loses data in production.  This rule extracts both vocabularies from the AST
 and flags any kind that is sent-but-never-handled or journaled-but-never-
 replayed.
 
-Side attribution: dict literals built *inside* a broker-side class
-(``Broker``, or the sweep service's ``ServiceBroker``/``JobStore``) are
-broker-sent (must be compared somewhere outside those classes — the worker
-functions); literals built outside are worker-sent (must be compared inside
-a broker-side class).  Both vocabularies are aggregated across
+Side attribution: dict literals built *inside* a broker-side class — the
+worker message loop ``ServiceBroker`` or the lease state machine
+``JobStore``, which every broker runs (a distributed sweep's ``Broker`` is a
+one-job session over them and builds no message itself) — are broker-sent
+(must be compared somewhere outside those classes — the worker functions);
+literals built outside are worker-sent (must be compared inside a
+broker-side class).  Both vocabularies are aggregated across
 ``runner/distributed.py`` *and* every ``service/`` module, because the
-service daemon speaks the same wire protocol and appends to the same
-journal format — a service-only message (``reject``) handled only in the
-worker's handshake, or a service-only journal kind (``job-submitted``)
-replayed only by ``ServiceJournal``, closes the vocabulary across module
-boundaries.  Journal replay handling counts only equality comparisons in
-``runner/journal.py``, so a deleted ``elif kind == KIND_X`` aggregation
-branch is caught even while ``_KNOWN_KINDS`` still lists the kind.
+worker lives in the former and both broker-side classes in the latter — a
+broker message (``reject``) handled only in the worker's handshake, or a
+journal kind (``job-submitted``) replayed only by ``ServiceJournal``,
+closes the vocabulary across module boundaries.  Journal replay handling
+counts only equality comparisons in ``runner/journal.py``, so a deleted
+``elif kind == KIND_X`` aggregation branch is caught even while
+``_KNOWN_KINDS`` still lists the kind.
 
 The service's HTTP payloads deliberately stay out of this vocabulary: they
 tag with ``state``, never ``type``/``kind``.
@@ -50,9 +52,9 @@ class Proto001ProtocolClosure(ProjectRule):
         "reply loop / journal replay), or remove the dead sender"
     )
 
-    #: Classes whose dict literals count as broker-sent: the single-sweep
-    #: broker plus the sweep service's two broker-side halves.
-    BROKER_CLASSES = ("Broker", "ServiceBroker", "JobStore")
+    #: Classes whose dict literals count as broker-sent: the worker message
+    #: loop and the lease state machine.
+    BROKER_CLASSES = ("ServiceBroker", "JobStore")
 
     def check_project(
         self, modules: Sequence[ModuleInfo], walker: ModuleWalker

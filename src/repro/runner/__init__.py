@@ -20,7 +20,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.runner.distributed": (
         "Broker",
         "DistributedExecutor",
-        "LocalCluster",
         "run_worker",
     ),
     "repro.runner.executor": (
@@ -71,7 +70,6 @@ __all__ = [
     "TaskReplay",
     "ServiceClient",
     "ServiceExecutor",
-    "LocalCluster",
     "WorkerSupervisor",
     "backoff_delays",
     "run_worker",

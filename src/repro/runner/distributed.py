@@ -8,11 +8,13 @@ results — identical to a serial run.
 Three pieces:
 
 * :class:`Broker` — owns one batch of spec payloads and serves them to
-  pull-based workers over newline-delimited JSON on TCP.  Work assignment is
-  lease-based: every task carries a deadline that the executing worker's
-  heartbeats extend; an expired lease or a dropped connection requeues the
-  task with the offending worker excluded, and a spec that exhausts its
-  attempts is reported as failed instead of wedging the sweep.
+  pull-based workers over newline-delimited JSON on TCP.  It is a one-job
+  session over the sweep service's lease state machine
+  (:class:`~repro.service.jobstore.JobStore`): every task carries a deadline
+  that the executing worker's heartbeats extend; an expired lease or a
+  dropped connection requeues the task with the offending worker excluded,
+  and a spec that exhausts its attempts is reported as failed instead of
+  wedging the sweep.
 * ``repro worker --connect host:port`` (:func:`run_worker`) — the process any
   host runs to pull spec payloads and push ``SimResult`` dicts back.  It
   executes specs through exactly the serialization path the process-pool
@@ -22,7 +24,7 @@ Three pieces:
 * :class:`DistributedExecutor` — implements the ``run_iter``-in-completion-
   order executor contract, so ``Runner``, the result cache, ``SpecProgress``
   streaming, and ``--progress`` compose unchanged.  With ``workers=N`` it
-  spins a :class:`LocalCluster` of N localhost worker subprocesses per sweep;
+  supervises N localhost worker subprocesses per sweep;
   with ``workers=0`` it binds ``(host, port)`` and waits for external
   ``repro worker`` processes to join.
 
@@ -31,19 +33,20 @@ Wire protocol (one TCP connection per worker, one JSON object per line)::
     worker -> {"type": "hello", "worker": "<id>"}
     broker -> {"type": "welcome", "lease_seconds": <s>}
     worker -> {"type": "next"}
-    broker -> {"type": "task", "task": <n>, "payload": {<RunSpec dict>}}
+    broker -> {"type": "task", "task": <id>, "payload": {<RunSpec dict>}}
             | {"type": "idle", "delay": <s>}       (nothing assignable yet)
             | {"type": "drain"}                    (sweep finished; exit)
-    worker -> {"type": "heartbeat", "task": <n>}   (no reply; extends lease)
-    worker -> {"type": "result", "task": <n>, "result": {<SimResult dict>}}
-    worker -> {"type": "error", "task": <n>, "error": "<reason>"}
-    worker -> {"type": "checkpoint", "task": <n>, "snapshot": {<document>}}
-    worker -> {"type": "release", "task": <n>, "snapshot": {<document>}|null}
+    worker -> {"type": "heartbeat", "task": <id>}  (no reply; extends lease)
+    worker -> {"type": "result", "task": <id>, "result": {<SimResult dict>}}
+    worker -> {"type": "error", "task": <id>, "error": "<reason>"}
+    worker -> {"type": "checkpoint", "task": <id>, "snapshot": {<document>}}
+    worker -> {"type": "release", "task": <id>, "snapshot": {<document>}|null}
 
-``result``/``error`` get no reply; the worker immediately sends the next
-``next``.  Late results from a worker whose lease already expired are still
-accepted (first result wins — they are deterministic), so a slow-but-alive
-worker never wastes its work.
+Task ids are ``"<job-id>/<position>"`` strings that workers echo without
+reading them.  ``result``/``error`` get no reply; the worker immediately
+sends the next ``next``.  Late results from a worker whose lease already
+expired are still accepted (first result wins — they are deterministic), so
+a slow-but-alive worker never wastes its work.
 
 Checkpoint shipping (broker built with ``checkpoint_every``): every task
 message carries ``checkpoint_every`` and, when the broker holds one, a
@@ -57,28 +60,23 @@ than from zero.
 
 from __future__ import annotations
 
-import collections
 import json
 import os
 import random
 import socket
-import struct
-import subprocess
 import sys
 import threading
 import time
 import uuid
-from pathlib import Path
-from queue import Empty, Queue
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -103,15 +101,6 @@ from repro.runner.supervisor import (
 DEFAULT_LEASE_SECONDS = 30.0
 #: Default per-spec assignment budget (first attempt plus two retries).
 DEFAULT_MAX_ATTEMPTS = 3
-#: ``backoff_delays`` (base, cap) seconds for the pause before a requeued
-#: task may fall back to a worker it excludes (see :meth:`_Task.pace_retry`).
-EXCLUSION_BACKOFF = (0.5, 8.0)
-#: Longest the sweep broker holds an idle worker's ``next`` waiting for a
-#: task to come back or the sweep to finish (see :meth:`Broker._next_reply`).
-IDLE_HOLD_SECONDS = 0.05
-#: Pause an idle worker takes before asking again when nothing it may run
-#: is queued.
-IDLE_DELAY_SECONDS = 0.05
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -148,10 +137,6 @@ def _read(reader: Any) -> Optional[Dict[str, Any]]:
     return json.loads(line)
 
 
-#: ``SO_LINGER`` value for an abortive close: linger on, zero seconds.
-_ABORT = struct.pack("ii", 1, 0)
-
-
 def _no_delay(sock: socket.socket) -> socket.socket:
     """Disable Nagle: the wire is one short line per request and reply.
 
@@ -163,193 +148,23 @@ def _no_delay(sock: socket.socket) -> socket.socket:
     return sock
 
 
-class WorkerPlane:
-    """The worker-facing TCP listener both brokers share.
-
-    :meth:`start` binds, then runs one acceptor thread, which hands every
-    connection (Nagle off) to ``serve`` on its own handler thread, and one
-    monitor thread, which calls ``tick`` every ``interval`` seconds until
-    :meth:`close`.  ``serve`` owns the connection's protocol; the plane
-    tracks the socket and closes it when ``serve`` returns.
-    """
-
-    def __init__(
-        self,
-        serve: Callable[[socket.socket], None],
-        tick: Callable[[], None],
-        interval: float,
-    ) -> None:
-        self._serve = serve
-        self._tick = tick
-        self._interval = interval
-        self._lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
-        self.closed = threading.Event()
-        self.connections: List[socket.socket] = []
-        self.threads: List[threading.Thread] = []
-
-    def start(self, bind: Tuple[str, int], role: str) -> Tuple[str, int]:
-        """Bind ``(host, port)`` and start serving; returns the bound address."""
-        try:
-            self._listener = socket.create_server(bind)
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot bind {role} to {bind[0]}:{bind[1]}: {error}"
-            )
-        for target in (self._accept_loop, self._monitor_loop):
-            self._spawn(target)
-        host, port = self._listener.getsockname()[:2]
-        return host, port
-
-    def close(self) -> None:
-        self.closed.set()
-        listener = self._listener
-        if listener is not None:
-            # shutdown() first: on Linux, close() alone does not wake the
-            # thread blocked in accept(), and the join below would wait out
-            # its whole timeout.
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            listener.close()
-        with self._lock:
-            connections = list(self.connections)
-        for conn in connections:
-            # shutdown(), not just close(): the handler thread's makefile()
-            # reader holds an io-ref, so close() alone defers the real FD
-            # close and the connection would silently stay alive.  Zero
-            # linger makes that close a reset: a worker blocked sending a
-            # checkpoint into the closed window would otherwise wait out the
-            # orphaned socket's FIN_WAIT2 timeout (60 s on Linux).
-            try:
-                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _ABORT)
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for thread in list(self.threads):
-            thread.join(timeout=2.0)
-
-    def _spawn(self, target: Callable[..., None], *args: Any) -> None:
-        thread = threading.Thread(target=target, args=args, daemon=True)
-        thread.start()
-        self.threads.append(thread)
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener shut down
-            with self._lock:
-                if self.closed.is_set():
-                    conn.close()  # raced close(): it never saw this socket
-                    return
-                self.connections.append(_no_delay(conn))
-            self._spawn(self._handle, conn)
-
-    def _handle(self, conn: socket.socket) -> None:
-        try:
-            self._serve(conn)
-        finally:
-            with self._lock:
-                self.connections.remove(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _monitor_loop(self) -> None:
-        while not self.closed.wait(self._interval):
-            self._tick()
-
-
-def claim_worker_name(requested: str, in_use: Any) -> str:
-    """A connection-unique worker name: ``requested``, or ``requested#N``.
-
-    Two workers arriving with the same auto-generated name (cloned VMs,
-    copy-pasted ``--connect`` commands from different clients) would
-    otherwise alias in broker stats and — worse — in per-task exclusion
-    sets, letting a crashing worker's retry land right back on its
-    same-named twin.  The broker assigns the suffixed name at handshake
-    and echoes it in the welcome message; the worker adopts it for the
-    rest of the session (heartbeats, redials), so exclusions stay keyed
-    on the unique name.  Caller holds the lock guarding ``in_use``.
-    """
-    if requested not in in_use:
-        return requested
-    ordinal = 2
-    while f"{requested}#{ordinal}" in in_use:
-        ordinal += 1
-    return f"{requested}#{ordinal}"
-
-
 # ---------------------------------------------------------------------------
 # Broker
 # ---------------------------------------------------------------------------
-_READY, _LEASED, _DONE, _FAILED = "ready", "leased", "done", "failed"
-
-
-class _Task:
-    __slots__ = ("position", "payload", "state", "attempts", "excluded",
-                 "worker", "deadline", "errors", "checkpoint", "key",
-                 "first_assigned", "timed_out", "retry_at", "backoff")
-
-    def __init__(self, position: int, payload: Dict[str, Any]) -> None:
-        self.position = position
-        self.payload = payload
-        self.state = _READY
-        self.attempts = 0
-        self.excluded: set = set()
-        self.worker: Optional[str] = None
-        self.deadline = 0.0
-        self.errors: List[str] = []
-        #: Latest shipped :class:`~repro.snapshot.Snapshot`, if any; attached
-        #: to the next assignment so a replacement worker resumes mid-spec.
-        self.checkpoint: Optional[Any] = None
-        #: Spec content key (sha256); set only on journaled brokers, where
-        #: records must survive grid renumbering across restarts.
-        self.key: Optional[str] = None
-        #: Wall-clock (monotonic) of the *first* assignment — the per-spec
-        #: deadline measures total time-in-flight, not per-attempt time.
-        self.first_assigned: Optional[float] = None
-        #: True when this task was terminally failed by a deadline, not by
-        #: worker errors; surfaces as PartialSweepError on the sweep host.
-        self.timed_out = False
-        #: Monotonic time before which the exclusion fallback holds this task
-        #: back, and the backoff schedule that sets it (see pace_retry).
-        self.retry_at = 0.0
-        self.backoff: Optional[Iterator[float]] = None
-
-    def pace_retry(self, now: float, rng: random.Random) -> None:
-        """Pause the exclusion fallback for this requeued task.
-
-        Exclusion is best-effort: a task that excludes every connected
-        worker falls back to one of them rather than wedge the sweep.  A
-        worker that fails instantly (broken environment) would otherwise
-        take its own retry straight back and burn the whole attempt budget
-        before a healthy worker has even connected.  Successive pauses grow
-        along :data:`EXCLUSION_BACKOFF`; a worker the task does not exclude
-        is never held back.
-        """
-        if self.backoff is None:
-            self.backoff = backoff_delays(*EXCLUSION_BACKOFF, rng=rng)
-        self.retry_at = now + next(self.backoff)
-
-    def fallback_ready(self, workers: set, now: float) -> bool:
-        """May the exclusion fallback hand this task to one of ``workers``?"""
-        return workers <= self.excluded and self.retry_at <= now
-
-
 class Broker:
     """Serve one batch of spec payloads to pull-based workers over TCP.
 
-    Sockets and threads (one acceptor, one connection handler per worker,
-    one lease monitor) live in a :class:`WorkerPlane`.  All task-state
-    transitions happen under ``_lock``; completion and terminal-failure
-    events flow through ``_events`` to :meth:`events`, which the executor
-    consumes on the sweep host.
+    A one-job session: the payloads become the single job of an embedded,
+    sealed :class:`~repro.service.jobstore.JobStore`, served by a
+    :class:`~repro.service.daemon.ServiceBroker` — the same lease state
+    machine and worker message loop as ``repro serve``.  Sealing makes the
+    store answer ``drain`` once the job is terminal.  With ``journal_dir``
+    the store journals every transition, and a Broker built on the same
+    directory after a crash replays it by spec key before the listener
+    starts: finished grid points are re-emitted (never re-run), burned
+    attempts and worker exclusions stick, shipped checkpoints are
+    re-adopted, and the attempt that was in flight when the old broker died
+    is refunded.
     """
 
     def __init__(
@@ -366,154 +181,55 @@ class Broker:
         sweep_deadline_seconds: Optional[float] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if lease_seconds <= 0:
-            raise ConfigurationError("lease_seconds must be positive")
-        if max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ConfigurationError("checkpoint_every must be a positive event count")
-        if spec_deadline_seconds is not None and spec_deadline_seconds <= 0:
-            raise ConfigurationError("spec_deadline_seconds must be positive")
-        if sweep_deadline_seconds is not None and sweep_deadline_seconds <= 0:
-            raise ConfigurationError("sweep_deadline_seconds must be positive")
-        self._bind = (host, port)
-        self.host = host
-        self.port = port
-        self.lease_seconds = lease_seconds
-        self.max_attempts = max_attempts
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-        self.spec_deadline_seconds = spec_deadline_seconds
-        self.sweep_deadline_seconds = sweep_deadline_seconds
-        self._started_at: Optional[float] = None
-        self._tasks = [_Task(i, payload) for i, payload in enumerate(payloads)]
-        self._ready: Deque[int] = collections.deque(range(len(self._tasks)))
-        self._outstanding = len(self._tasks)
-        self._lock = threading.Lock()
-        #: Notified under ``_lock`` whenever a task is queued again or one
-        #: goes terminal: wakes the idle workers ``_next_reply`` holds.
-        self._changed = threading.Condition(self._lock)
-        self._events: "Queue[Tuple[str, int, Any]]" = Queue()
-        interval = min(0.5, lease_seconds / 4.0)
-        for deadline in (spec_deadline_seconds, sweep_deadline_seconds):
-            if deadline is not None:
-                interval = min(interval, deadline / 4.0)
-        self._plane = WorkerPlane(
-            self._serve, self._expire_leases, max(interval, 0.02)
-        )
-        self._rng = rng or random.Random()
-        self._workers: set = set()
-        self.stats = {
-            "assigned": 0, "completed": 0, "failed": 0, "requeued": 0,
-            "expired": 0, "disconnects": 0, "duplicates": 0,
-            "checkpoints": 0, "released": 0, "resumed": 0,
-            "replayed": 0, "timed_out": 0,
-        }
-        self._journal: Optional[Any] = None
+        # The store lives on the sweep host only: a worker never loads it.
+        from repro.runner.spec import SweepSpec
+        from repro.service.daemon import ServiceBroker
+        from repro.service.jobstore import JobStore
+
+        journal = None
         if journal_dir is not None:
-            # Replay goes through _finish_locked, which notifies _changed.
-            with self._lock:
-                self._attach_journal(journal_dir)
-        if self.checkpoint_dir is not None:
-            self._preload_checkpoints()
+            from repro.runner.journal import BrokerJournal
 
-    def _attach_journal(self, journal_dir: str) -> None:
-        """Open (and replay, if present) the write-ahead journal.
-
-        Replay happens *before* the listener starts, so a restarted broker
-        re-enters the exact task state the journal proves: finished grid
-        points go terminal immediately (their events pre-queued for the
-        sweep host — re-emitted, never re-run), burned attempts and worker
-        exclusions stick, shipped checkpoints are re-adopted, and the attempt
-        that was in flight when the old broker died is refunded.
-        """
-        from repro.runner.journal import BrokerJournal
-
-        self._journal = BrokerJournal(journal_dir)
-        for task in self._tasks:
-            task.key = RunSpec.from_dict(task.payload).key()
-        states = self._journal.replay()
-        for task in self._tasks:
-            state = states.get(task.key)
-            if state is None:
-                continue
-            if state.result is not None:
-                try:
-                    parsed = SimResult.from_dict(state.result)
-                except Exception:  # noqa: BLE001 - foreign/corrupt payload
-                    continue  # treat as never-run rather than crash the sweep
-                self._ready.remove(task.position)
-                self.stats["replayed"] += 1
-                self._finish_locked(task, _DONE, parsed, journal=False)
-                continue
-            if state.failed:
-                task.errors = list(state.errors)
-                self._ready.remove(task.position)
-                self._finish_locked(task, _FAILED, journal=False)
-                continue
-            task.attempts = state.settled_attempts()
-            task.excluded = set(state.excluded)
-            task.errors = list(state.errors)
-            if state.checkpoint is not None:
-                snapshot = self._parse_checkpoint(task.position, state.checkpoint)
-                if snapshot is not None:
-                    task.checkpoint = snapshot
-                    self.stats["replayed"] += 1
-
-    def _journal_append(self, record: Dict[str, Any]) -> None:
-        """Durably log one transition; disk trouble degrades to no journal."""
-        if self._journal is None:
-            return
-        try:
-            self._journal.append(record)
-        except OSError as error:
-            import warnings
-
-            from repro.runner.journal import JournalWarning
-
-            warnings.warn(
-                f"broker journal write failed ({error}); continuing without "
-                f"crash recovery for this sweep",
-                JournalWarning,
-                stacklevel=2,
+            journal = BrokerJournal(journal_dir)
+        self._store = JobStore(
+            journal=journal,
+            lease_seconds=lease_seconds,
+            max_attempts=max_attempts,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            spec_deadline_seconds=spec_deadline_seconds,
+            sweep_deadline_seconds=sweep_deadline_seconds,
+            rng=rng,
+        )
+        self._job: Optional[str] = None
+        if payloads:
+            sweep = SweepSpec(
+                name="sweep",
+                specs=tuple(RunSpec.from_dict(payload) for payload in payloads),
             )
-            try:
-                self._journal.close()
-            finally:
-                self._journal = None
-
-    def _preload_checkpoints(self) -> None:
-        """Adopt checkpoints a previous (killed) sweep host left on disk.
-
-        Journal-replayed checkpoints win: they are at least as fresh as the
-        persisted copies (every persisted snapshot was journaled first).
-        """
-        from repro.snapshot import checkpoint_path, try_load_snapshot
-
-        for task in self._tasks:
-            if task.checkpoint is not None or task.state in (_DONE, _FAILED):
-                continue
-            spec = RunSpec.from_dict(task.payload)
-            snapshot, _ = try_load_snapshot(
-                checkpoint_path(self.checkpoint_dir, spec)
-            )
-            if snapshot is not None and snapshot.spec == spec:
-                task.checkpoint = snapshot
+            replay = journal.replay() if journal is not None else {}
+            self._job = self._store.submit(sweep, replay=replay)["job"]
+        self._store.seal()
+        self._broker = ServiceBroker(self._store, host, port)
+        self.host, self.port = host, port
 
     @property
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
 
+    @property
+    def stats(self) -> Dict[str, int]:
+        """The store's live counters (assigned/completed/requeued/...)."""
+        return self._store.stats
+
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "Broker":
-        self.host, self.port = self._plane.start(self._bind, "broker")
-        self._started_at = time.monotonic()
+        self.host, self.port = self._broker.start().address
         return self
 
     def close(self) -> None:
-        self._plane.close()
-        if self._journal is not None:
-            self._journal.close()
+        self._broker.close()
+        self._store.close_journal()
 
     def __enter__(self) -> "Broker":
         return self.start()
@@ -523,42 +239,31 @@ class Broker:
 
     # ------------------------------------------------------------- queries
     def outstanding(self) -> int:
-        """Tasks not yet terminal (neither done nor failed)."""
-        with self._lock:
-            return self._outstanding
+        """Specs not yet terminal (neither done nor failed)."""
+        if self._job is None:
+            return 0
+        summary = self._store.job_summary(self._job)
+        assert summary is not None
+        return summary["pending"] + summary["leased"]
 
     def worker_count(self) -> int:
         """Workers currently connected (hello received, not disconnected)."""
-        with self._lock:
-            return len(self._workers)
+        return self._store.worker_count()
 
     def closed(self) -> bool:
         """True once :meth:`close` ran (chaos drills poll this mid-kill)."""
-        return self._plane.closed.is_set()
+        return self._broker.closed()
 
-    def timed_out_positions(self) -> set:
+    def timed_out_positions(self) -> Set[int]:
         """Positions terminally failed by a spec deadline or the sweep budget."""
-        with self._lock:
-            return {task.position for task in self._tasks if task.timed_out}
+        if self._job is None:
+            return set()
+        return self._store.timed_out_positions(self._job)
 
     def abort(self, reason: str) -> None:
-        """Terminally fail every non-finished task (unblocks :meth:`events`).
-
-        Abort failures are *not* journaled: they reflect this session's
-        environment (every local worker died), not a durable fact about the
-        spec, and a restarted broker should retry those grid points.
-        """
-        with self._lock:
-            for task in self._tasks:
-                if task.state in (_DONE, _FAILED):
-                    continue
-                if task.state == _READY:
-                    try:
-                        self._ready.remove(task.position)
-                    except ValueError:
-                        pass
-                task.errors.append(reason)
-                self._finish_locked(task, _FAILED, journal=False)
+        """Terminally fail every non-finished spec (unblocks :meth:`events`)."""
+        if self._job is not None:
+            self._store.abort(self._job, reason)
 
     def events(
         self,
@@ -572,385 +277,9 @@ class Broker:
         ``poll`` runs whenever no event arrived for ``poll_interval`` seconds
         — the executor's liveness watchdog hook.
         """
-        pending = len(self._tasks)
-        while pending:
-            try:
-                event = self._events.get(timeout=poll_interval)
-            except Empty:
-                if poll is not None:
-                    poll()
-                continue
-            pending -= 1
-            yield event
-
-    # ----------------------------------------------------- connection side
-    def _serve(self, conn: socket.socket) -> None:
-        # Live peers are chatty (idle workers poll every ~50 ms, leased ones
-        # heartbeat every lease/3), so a generous read timeout only ever
-        # fires for a half-open connection whose host dropped without a
-        # FIN/RST — which would otherwise stay in _workers forever, blocking
-        # the exclusion fallback and wedging the sweep.
-        conn.settimeout(max(self.lease_seconds * 2.0, 10.0))
-        write_lock = threading.Lock()
-        worker = f"anon-{uuid.uuid4().hex[:8]}"
-        reader = conn.makefile("r", encoding="utf-8")
-        try:
-            while True:
-                try:
-                    message = _read(reader)
-                except (OSError, ValueError):
-                    break
-                if message is None:
-                    break
-                try:
-                    kind = message.get("type")
-                    if kind == "hello":
-                        requested = str(message.get("worker") or worker)
-                        with self._lock:
-                            worker = claim_worker_name(requested, self._workers)
-                            self._workers.add(worker)
-                        _send(conn, write_lock, {
-                            "type": "welcome", "lease_seconds": self.lease_seconds,
-                            "worker": worker,
-                        })
-                    elif kind == "next":
-                        _send(conn, write_lock, self._next_reply(worker))
-                    elif kind in ("heartbeat", "result", "error",
-                                  "checkpoint", "release"):
-                        task_id = int(message["task"])
-                        if not 0 <= task_id < len(self._tasks):
-                            continue  # corrupt or foreign task id; ignore
-                        if kind == "heartbeat":
-                            self._extend_lease(task_id, worker)
-                        elif kind == "result":
-                            self._complete(task_id, worker, message["result"])
-                        elif kind == "checkpoint":
-                            self._store_checkpoint(
-                                task_id, worker, message.get("snapshot")
-                            )
-                        elif kind == "release":
-                            self._release(task_id, worker, message.get("snapshot"))
-                        else:
-                            self._report_error(
-                                task_id, worker, str(message.get("error"))
-                            )
-                except (AttributeError, KeyError, TypeError, ValueError):
-                    # Structurally invalid message (JSON array, missing/odd
-                    # fields): drop the line, keep the worker's connection —
-                    # killing the handler would cost it a lease and an
-                    # exclusion for one corrupt line.
-                    continue
-        except OSError:
-            pass
-        finally:
-            self._disconnect(worker)
-
-    # ------------------------------------------------------ state machine
-    def _next_reply(self, worker: str) -> Dict[str, Any]:
-        """Answer ``next``, holding an idle worker until something changes.
-
-        A worker with nothing to run is not told to come back later at
-        once: its reply waits up to :data:`IDLE_HOLD_SECONDS` for a task to
-        be queued again or the sweep to finish.  The worker that idles at
-        the end of a sweep thus gets ``drain`` the moment the last result
-        lands, rather than on its next poll.  A hold that times out answers
-        ``idle`` with no delay, so the worker asks again straight away and
-        is held again.
-        """
-        reply = self._assign(worker)
-        if reply["type"] != "idle":
-            return reply
-        with self._changed:
-            changed = self._changed.wait_for(
-                lambda: self._outstanding == 0 or bool(self._ready),
-                timeout=IDLE_HOLD_SECONDS,
-            )
-        if not changed:
-            return {"type": "idle", "delay": 0.0}
-        return self._assign(worker)
-
-    def _assign(self, worker: str) -> Dict[str, Any]:
-        with self._lock:
-            now = time.monotonic()
-            chosen: Optional[int] = None
-            for task_id in self._ready:
-                if worker not in self._tasks[task_id].excluded:
-                    chosen = task_id
-                    break
-            if chosen is None:
-                # Exclusion is best-effort: a task that excludes every
-                # currently connected worker has nobody left to serve it and
-                # would wedge the sweep — retrying (after the task's retry
-                # pause) beats deadlocking.
-                for task_id in self._ready:
-                    if self._tasks[task_id].fallback_ready(self._workers, now):
-                        chosen = task_id
-                        break
-            if chosen is not None:
-                self._ready.remove(chosen)
-                task = self._tasks[chosen]
-                task.state = _LEASED
-                task.worker = worker
-                task.attempts += 1
-                if task.first_assigned is None:
-                    task.first_assigned = now
-                task.deadline = now + self.lease_seconds
-                self.stats["assigned"] += 1
-                self._journal_append({
-                    "kind": "assigned", "key": task.key, "worker": worker,
-                })
-                message = {"type": "task", "task": chosen, "payload": task.payload}
-                if self.checkpoint_every is not None:
-                    message["checkpoint_every"] = self.checkpoint_every
-                if task.checkpoint is not None:
-                    from repro.snapshot import snapshot_document
-
-                    message["checkpoint"] = snapshot_document(task.checkpoint)
-                    self.stats["resumed"] += 1
-                return message
-            if self._outstanding == 0:
-                return {"type": "drain"}
-            return {"type": "idle", "delay": IDLE_DELAY_SECONDS}
-
-    def _extend_lease(self, task_id: int, worker: str) -> None:
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state == _LEASED and task.worker == worker:
-                task.deadline = time.monotonic() + self.lease_seconds
-
-    def _parse_checkpoint(self, task_id: int, document: Any) -> Optional[Any]:
-        """Validate a shipped snapshot document against its task's spec."""
-        from repro.errors import SnapshotError
-        from repro.snapshot import parse_document
-
-        try:
-            snapshot = parse_document(document, source=f"task {task_id} checkpoint")
-        except SnapshotError:
-            return None  # corrupt in flight; the old checkpoint stays usable
-        if snapshot.spec != RunSpec.from_dict(self._tasks[task_id].payload):
-            return None
-        return snapshot
-
-    def _persist_checkpoint(self, snapshot: Any) -> None:
-        if self.checkpoint_dir is None:
-            return
-        from repro.snapshot import checkpoint_path, save_snapshot
-
-        try:
-            save_snapshot(snapshot, checkpoint_path(self.checkpoint_dir, snapshot.spec))
-        except OSError:
-            pass  # disk trouble only costs resume granularity, not the sweep
-
-    def _store_checkpoint(self, task_id: int, worker: str, document: Any) -> None:
-        snapshot = self._parse_checkpoint(task_id, document)
-        if snapshot is None:
-            return
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state != _LEASED or task.worker != worker:
-                return  # stale shipment from an expired lease
-            task.checkpoint = snapshot
-            # A checkpoint proves liveness as well as any heartbeat.
-            task.deadline = time.monotonic() + self.lease_seconds
-            self.stats["checkpoints"] += 1
-            self._journal_append({
-                "kind": "checkpointed", "key": task.key, "snapshot": document,
-            })
-        self._persist_checkpoint(snapshot)
-
-    def _release(self, task_id: int, worker: str, document: Any) -> None:
-        """A clean mid-spec lease return (worker preempted, e.g. SIGTERM).
-
-        Unlike ``error`` this refunds the attempt and excludes nobody: the
-        worker did nothing wrong, and its final snapshot means the next
-        assignee continues from the slice boundary instead of from zero.
-        """
-        snapshot = self._parse_checkpoint(task_id, document) if document else None
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state != _LEASED or task.worker != worker:
-                return
-            if snapshot is not None:
-                task.checkpoint = snapshot
-                self._journal_append({
-                    "kind": "checkpointed", "key": task.key,
-                    "snapshot": document,
-                })
-            task.attempts -= 1
-            task.state = _READY
-            task.worker = None
-            self._ready.append(task.position)
-            self._changed.notify_all()
-            self.stats["released"] += 1
-            self._journal_append({"kind": "released", "key": task.key})
-        if snapshot is not None:
-            self._persist_checkpoint(snapshot)
-
-    def _complete(self, task_id: int, worker: str, result: Dict[str, Any]) -> None:
-        # Parse the payload into a SimResult *before* the task goes terminal:
-        # a wrong-shape dict from a version-skewed worker must requeue the
-        # spec like any worker error, not crash the sweep host's event loop.
-        try:
-            parsed = SimResult.from_dict(result)
-        except Exception as error:  # noqa: BLE001 - arbitrary payloads
-            self._report_error(
-                task_id, worker,
-                f"worker returned an invalid result payload: "
-                f"{describe_error(error)}",
-            )
-            return
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state in (_DONE, _FAILED):
-                self.stats["duplicates"] += 1  # late result after reassignment
-                return
-            if task.state == _READY:
-                # Expired lease, but the original worker finished after all.
-                self._ready.remove(task_id)
-            task.checkpoint = None
-            self._finish_locked(task, _DONE, parsed)
-        if self.checkpoint_dir is not None:
-            from repro.snapshot import checkpoint_path
-
-            try:
-                checkpoint_path(
-                    self.checkpoint_dir, RunSpec.from_dict(task.payload)
-                ).unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def _report_error(self, task_id: int, worker: str, reason: str) -> None:
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state != _LEASED or task.worker != worker:
-                return  # stale report from a lease that already expired
-            # Exclude the reporter so the retry prefers a different worker: a
-            # host with a broken environment errors instantly and would
-            # otherwise re-poll and burn the spec's whole attempt budget in
-            # milliseconds.  Exclusion is best-effort (see _assign), so on a
-            # single-worker fleet the retry still lands on the same worker,
-            # after the task's retry pause.
-            self._requeue_or_fail_locked(task, reason, exclude=True)
-
-    def _disconnect(self, worker: str) -> None:
-        with self._lock:
-            self._workers.discard(worker)
-            leased = [
-                task for task in self._tasks
-                if task.state == _LEASED and task.worker == worker
-            ]
-            for task in leased:
-                self.stats["disconnects"] += 1
-                self._requeue_or_fail_locked(
-                    task, f"worker {worker} disconnected mid-spec", exclude=True
-                )
-
-    def _expire_leases(self) -> None:
-        """Monitor tick: enforce lease expiry and the spec/sweep deadlines."""
-        now = time.monotonic()
-        with self._lock:
-            for task in self._tasks:
-                if task.state in (_DONE, _FAILED):
-                    continue
-                if (
-                    self.spec_deadline_seconds is not None
-                    and task.first_assigned is not None
-                    and now - task.first_assigned > self.spec_deadline_seconds
-                ):
-                    self._time_out_locked(
-                        task,
-                        f"spec deadline exceeded "
-                        f"({self.spec_deadline_seconds}s since first "
-                        f"assignment)",
-                    )
-                    continue
-                if task.state == _LEASED and task.deadline < now:
-                    self.stats["expired"] += 1
-                    self._requeue_or_fail_locked(
-                        task,
-                        f"lease expired on worker {task.worker} "
-                        f"(no heartbeat for {self.lease_seconds}s)",
-                        exclude=True,
-                    )
-            if (
-                self.sweep_deadline_seconds is not None
-                and self._started_at is not None
-                and now - self._started_at > self.sweep_deadline_seconds
-            ):
-                for task in self._tasks:
-                    if task.state not in (_DONE, _FAILED):
-                        self._time_out_locked(
-                            task,
-                            f"sweep budget exhausted "
-                            f"({self.sweep_deadline_seconds}s)",
-                        )
-
-    def _time_out_locked(self, task: _Task, reason: str) -> None:
-        """Terminally fail a wedged task so the sweep degrades gracefully.
-
-        Not journaled: deadlines are session policy, not durable facts about
-        the spec — a restarted broker (perhaps with a bigger budget) should
-        be free to retry it.  A late result from the still-running worker is
-        dropped as a duplicate, keeping the executor's yield-once contract.
-        """
-        if task.state == _READY:
-            try:
-                self._ready.remove(task.position)
-            except ValueError:
-                pass
-        task.errors.append(reason)
-        task.timed_out = True
-        self.stats["timed_out"] += 1
-        self._finish_locked(task, _FAILED, journal=False)
-
-    def _requeue_or_fail_locked(
-        self, task: _Task, reason: str, exclude: bool
-    ) -> None:
-        task.errors.append(reason)
-        if exclude and task.worker is not None:
-            task.excluded.add(task.worker)
-            self._journal_append({
-                "kind": "excluded", "key": task.key,
-                "worker": task.worker, "reason": reason,
-            })
-        if task.attempts >= self.max_attempts:
-            self._finish_locked(task, _FAILED)
-        else:
-            if exclude:
-                task.pace_retry(time.monotonic(), self._rng)
-            task.state = _READY
-            task.worker = None
-            self._ready.append(task.position)
-            self._changed.notify_all()
-            self.stats["requeued"] += 1
-
-    def _finish_locked(
-        self,
-        task: _Task,
-        state: str,
-        result: Optional[SimResult] = None,
-        journal: bool = True,
-    ) -> None:
-        task.state = state
-        task.worker = None
-        self._outstanding -= 1
-        self._changed.notify_all()
-        if state == _DONE:
-            if journal:
-                self._journal_append({
-                    "kind": "completed", "key": task.key,
-                    "result": result.to_dict() if result is not None else None,
-                })
-            self.stats["completed"] += 1
-            self._events.put(("result", task.position, result))
-        else:
-            if journal:
-                self._journal_append({
-                    "kind": "failed", "key": task.key,
-                    "reasons": list(task.errors),
-                })
-            self.stats["failed"] += 1
-            self._events.put(("failed", task.position, "; ".join(task.errors)))
+        if self._job is None:
+            return iter(())
+        return self._store.events(self._job, poll, poll_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -1238,9 +567,8 @@ def run_worker(
                     continue
                 if reply_type != "task":
                     raise KeyError(reply_type)  # repro: noqa[ERR001] -- control flow: caught by the reply loop and retried as a protocol error
-                # Task ids are opaque to the worker and echoed verbatim: the
-                # sweep broker uses grid positions (ints), the multi-tenant
-                # service uses "job-id/position" strings.
+                # Task ids are opaque to the worker and echoed verbatim
+                # (brokers send "job-id/position" strings).
                 task_id = reply["task"]
                 if not isinstance(task_id, (int, str)):
                     raise TypeError("task")  # repro: noqa[ERR001] -- control flow: caught by the reply-shape handler below and converted to ExecutionError
@@ -1314,78 +642,6 @@ def run_worker(
     finally:
         sock.close()
     return completed
-
-
-# ---------------------------------------------------------------------------
-# Local cluster harness
-# ---------------------------------------------------------------------------
-class LocalCluster:
-    """Broker-facing fleet of ``repro worker`` subprocesses on this host.
-
-    The test/CI harness for the real wire path: each worker is a genuine
-    ``python -m repro worker --connect`` process, so everything — handshake,
-    leases, heartbeats, retry, drain — is exercised over actual sockets.
-    ``faults`` injects a per-worker :data:`FAULT_ENV` mode (None = healthy).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        workers: int,
-        faults: Optional[Sequence[Optional[str]]] = None,
-        heartbeat: Optional[float] = None,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError("LocalCluster needs at least one worker")
-        env = os.environ.copy()
-        src = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        )
-        command = [sys.executable, "-m", "repro", "worker",
-                   "--connect", f"{host}:{port}"]
-        if heartbeat is not None:
-            command += ["--heartbeat", str(heartbeat)]
-        self.procs: List[subprocess.Popen] = []
-        for index in range(workers):
-            worker_env = dict(env)
-            fault = faults[index] if faults and index < len(faults) else None
-            if fault:
-                worker_env[FAULT_ENV] = fault
-            self.procs.append(
-                subprocess.Popen(command, env=worker_env,
-                                 stdout=subprocess.DEVNULL)
-            )
-
-    def alive_count(self) -> int:
-        return sum(1 for proc in self.procs if proc.poll() is None)
-
-    def kill(self, index: int) -> None:
-        """SIGKILL one worker (fault drills)."""
-        self.procs[index].kill()
-        self.procs[index].wait()
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Wait briefly for workers to drain, then terminate stragglers."""
-        deadline = time.monotonic() + timeout
-        for proc in self.procs:
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
-                    try:
-                        proc.wait(timeout=2.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-
-    def __enter__(self) -> "LocalCluster":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Broker write-ahead journal: crash-safe task-state transitions.
 
-The distributed broker (:class:`~repro.runner.distributed.Broker`) keeps all
-lease/attempt/checkpoint state in memory; without a journal, killing the
+The lease state machine (:class:`~repro.service.jobstore.JobStore`) keeps
+all lease/attempt/checkpoint state in memory; without a journal, killing the
 sweep host forfeits every in-flight attempt and every shipped checkpoint.
 :class:`BrokerJournal` closes that hole: every task state transition —
 ``assigned`` / ``checkpointed`` / ``released`` / ``excluded`` /
 ``completed`` / ``failed`` — is appended as one JSON line and fsync'd before
-the transition is acted on, so a broker constructed with the same
+the transition is acted on, so a distributed sweep's
+:class:`~repro.runner.distributed.Broker` constructed with the same
 ``journal_dir`` after a SIGKILL replays the log and resumes the *same*
 sweep: finished grid points are re-emitted (not re-run), shipped checkpoints
 are re-adopted, burned attempts and worker exclusions stick, and the
@@ -16,7 +17,9 @@ death is not the worker's fault — mirroring the ``release`` semantics).
 Records are keyed by the spec's sha256 :meth:`~repro.runner.spec.RunSpec.key`
 rather than by queue position, so a restarted sweep whose grid shrank (some
 specs now served by the result cache) still maps every surviving record onto
-the right task.
+the right task.  The store also tags each record with its ``job`` id;
+:meth:`BrokerJournal.replay` ignores the tag, so it reads one-job sweep
+journals with or without it.
 
 Durability contract: ``fsync`` per record means the journal never lies about
 the past — but the *last* record may be torn (the process died mid-write).
@@ -50,9 +53,9 @@ KIND_EXCLUDED = "excluded"
 KIND_COMPLETED = "completed"
 KIND_FAILED = "failed"
 
-#: Job-lifecycle record kinds, written only by the multi-tenant sweep
-#: service's :class:`ServiceJournal`; task-transition records in a service
-#: journal additionally carry a ``job`` field scoping them to one job.
+#: Job-lifecycle record kinds, written only for the multi-tenant sweep
+#: service's jobs (a one-job sweep re-supplies its grid on restart); every
+#: task-transition record carries a ``job`` field scoping it to one job.
 KIND_JOB_SUBMITTED = "job-submitted"
 KIND_JOB_CANCELLED = "job-cancelled"
 
@@ -262,7 +265,7 @@ class JobReplay:
     ``sweep`` is the submitted SweepSpec dict, verbatim — the restarted
     service re-submits it with ``tasks`` as the replay states, so finished
     specs re-emit, burned attempts and exclusions stick, and in-flight
-    leases are refunded exactly like a restarted single-sweep broker.
+    leases are refunded exactly like a restarted distributed sweep.
     """
 
     name: str = ""
@@ -309,7 +312,11 @@ class ServiceJournal(BrokerJournal):
                 job = jobs.setdefault(job_id, JobReplay())
                 job.name = str(record.get("name") or job_id)
                 priority = record.get("priority")
-                if isinstance(priority, int) and priority >= 1:
+                if (
+                    isinstance(priority, int)
+                    and not isinstance(priority, bool)
+                    and priority >= 1
+                ):
                     job.priority = priority
                 sweep = record.get("sweep")
                 if isinstance(sweep, dict):

@@ -1,9 +1,8 @@
 """Worker supervisor: a self-healing pool of ``repro worker`` processes.
 
-:class:`~repro.runner.distributed.LocalCluster` spawns workers
-fire-and-forget: a crashed worker stays dead, and a fleet of them dies one
-crash at a time.  :class:`WorkerSupervisor` babysits the pool instead —
-each slot that exits *abnormally* (nonzero status or a signal) is respawned
+Workers spawned fire-and-forget stay dead when they crash, and a fleet of
+them dies one crash at a time.  :class:`WorkerSupervisor` babysits the pool
+instead — each slot that exits *abnormally* (nonzero status or a signal) is respawned
 with jittered exponential backoff, while a slot that drains cleanly (exit 0:
 the broker finished, or a SIGTERM'd worker released its lease) is left
 retired.  A circuit breaker stops the respawn loop for any slot that keeps
@@ -165,17 +164,16 @@ class _Slot:
 class WorkerSupervisor:
     """Spawn and babysit ``pool`` worker subprocesses against one broker.
 
-    API-compatible with the parts of :class:`LocalCluster` the executor and
-    the drills use (``alive_count`` / ``kill`` / ``close`` / context
-    manager), plus the supervision surface: ``respawns`` counts recoveries,
-    ``sick()`` reports tripped breakers, and ``gave_up()`` is True once no
-    worker is alive and none will ever be respawned — the signal the
-    executor's dead-cluster watchdog keys on.
+    The executor and the drills use ``alive_count`` / ``kill`` / ``close``
+    / the context manager, plus the supervision surface: ``respawns`` counts
+    recoveries, ``sick()`` reports tripped breakers, and ``gave_up()`` is
+    True once no worker is alive and none will ever be respawned — the
+    signal the executor's dead-cluster watchdog keys on.
 
-    ``faults`` injects per-slot :data:`FAULT_ENV`
-    modes exactly like LocalCluster; faulted slots are *not* respawned unless
-    ``respawn_faulted`` is set (tests want a dead worker to stay dead —
-    the ``repro workers --fault`` drill wants the breaker to trip).
+    ``faults`` injects per-slot :data:`FAULT_ENV` modes; faulted slots are
+    *not* respawned unless ``respawn_faulted`` is set (tests want a dead
+    worker to stay dead — the ``repro workers --fault`` drill wants the
+    breaker to trip).
     """
 
     def __init__(

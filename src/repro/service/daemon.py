@@ -1,15 +1,17 @@
-"""The sweep service daemon: worker TCP plane + HTTP plane + recovery.
+"""The worker TCP plane every broker runs, plus the sweep service daemon.
 
-:class:`ServiceBroker` speaks the same JSON-lines wire protocol as the
-single-sweep :class:`~repro.runner.distributed.Broker` — ``hello`` /
-``welcome``, ``next`` / ``task`` / ``idle``, ``heartbeat``, ``result``,
-``error``, ``checkpoint``, ``release`` — so stock ``repro worker
---connect`` processes serve it unchanged.  The differences are exactly the
-multi-tenant ones: task state lives in a shared
-:class:`~repro.service.jobstore.JobStore` instead of one task list, task
-ids are ``job-id/position`` strings, a bad shared token is answered with a
-``reject`` message, and the broker never drains — the service outlives any
-one job, so idle workers keep polling (pools should run ``--redial``).
+:class:`ServiceBroker` is the one worker message loop of the run fabric.
+It speaks the JSON-lines wire protocol of
+:mod:`repro.runner.distributed` — ``hello`` / ``welcome``, ``next`` /
+``task`` / ``idle`` / ``drain``, ``heartbeat``, ``result``, ``error``,
+``checkpoint``, ``release`` — so stock ``repro worker --connect``
+processes serve it unchanged.  All task state lives in a
+:class:`~repro.service.jobstore.JobStore`; task ids are ``job-id/position``
+strings, and a bad shared token is answered with a ``reject`` message.  A
+distributed sweep's :class:`~repro.runner.distributed.Broker` runs one over
+a sealed one-job store, whose workers drain when the sweep ends; the
+service's store is never sealed, so its idle workers keep polling (pools
+should run ``--redial``).
 
 :class:`SweepService` composes the store, both planes, and the
 write-ahead journal; constructing it on the journal/cache directories of
@@ -19,32 +21,35 @@ a SIGKILL'd daemon replays every live job before the listeners open.
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.runner.cache import ResultCache
+from repro.errors import ConfigurationError
 from repro.runner.distributed import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
-    WorkerPlane,
+    _no_delay,
     _read,
     _send,
     connect_host,
     parse_address,
 )
-from repro.runner.journal import ServiceJournal
-from repro.service.httpapi import ServiceHTTPServer
 from repro.service.jobstore import JobStore, parse_task_id
+
+#: ``SO_LINGER`` value for an abortive close: linger on, zero seconds.
+_ABORT = struct.pack("ii", 1, 0)
 
 
 class ServiceBroker:
-    """Worker-facing TCP plane of the service: sockets in, JobStore calls out.
+    """Worker-facing TCP plane of a broker: sockets in, JobStore calls out.
 
-    Sockets and threads (one acceptor, one handler per worker connection,
-    one lease monitor) live in the :class:`WorkerPlane` the single-sweep
-    broker uses too.  All task-state logic lives in the store; this class
-    only moves messages.
+    :meth:`start` binds, then runs one acceptor thread, which hands every
+    connection (Nagle off) to :meth:`_serve` on its own handler thread, and
+    one monitor thread, which calls the store's ``expire_leases`` every
+    ``store.monitor_interval`` seconds until :meth:`close`.  All task-state
+    logic lives in the store; this class only moves messages.
     """
 
     def __init__(
@@ -59,10 +64,11 @@ class ServiceBroker:
         self.host = host
         self.port = port
         self.token = token
-        self._plane = WorkerPlane(
-            self._serve, store.expire_leases,
-            max(0.02, min(0.5, store.lease_seconds / 4.0)),
-        )
+        self._lock = threading.Lock()
+        self._listener: Optional[socket.socket] = None
+        self._closed = threading.Event()
+        self.connections: List[socket.socket] = []
+        self.threads: List[threading.Thread] = []
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -70,13 +76,85 @@ class ServiceBroker:
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "ServiceBroker":
-        self.host, self.port = self._plane.start(
-            self._bind, "service worker plane"
-        )
+        try:
+            self._listener = socket.create_server(self._bind)
+        except OSError as error:
+            host, port = self._bind
+            raise ConfigurationError(
+                f"cannot bind the worker plane to {host}:{port}: {error}"
+            )
+        for target in (self._accept_loop, self._monitor_loop):
+            self._spawn(target)
+        self.host, self.port = self._listener.getsockname()[:2]
         return self
 
     def close(self) -> None:
-        self._plane.close()
+        self._closed.set()
+        listener = self._listener
+        if listener is not None:
+            # shutdown() first: on Linux, close() alone does not wake the
+            # thread blocked in accept(), and the join below would wait out
+            # its whole timeout.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            listener.close()
+        with self._lock:
+            connections = list(self.connections)
+        for conn in connections:
+            # shutdown(), not just close(): the handler thread's makefile()
+            # reader holds an io-ref, so close() alone defers the real FD
+            # close and the connection would silently stay alive.  Zero
+            # linger makes that close a reset: a worker blocked sending a
+            # checkpoint into the closed window would otherwise wait out the
+            # orphaned socket's FIN_WAIT2 timeout (60 s on Linux).
+            try:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _ABORT)
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for thread in list(self.threads):
+            thread.join(timeout=2.0)
+
+    def closed(self) -> bool:
+        """True once :meth:`close` ran."""
+        return self._closed.is_set()
+
+    # ------------------------------------------------------------- threads
+    def _spawn(self, target: Callable[..., None], *args: Any) -> None:
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        thread.start()
+        self.threads.append(thread)
+
+    def _accept_loop(self) -> None:
+        assert self._listener is not None
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # listener shut down
+            with self._lock:
+                if self._closed.is_set():
+                    conn.close()  # raced close(): it never saw this socket
+                    return
+                self.connections.append(_no_delay(conn))
+            self._spawn(self._handle, conn)
+
+    def _handle(self, conn: socket.socket) -> None:
+        try:
+            self._serve(conn)
+        finally:
+            with self._lock:
+                self.connections.remove(conn)
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def _monitor_loop(self) -> None:
+        while not self._closed.wait(self._store.monitor_interval):
+            self._store.expire_leases()
 
     # ----------------------------------------------------------- plumbing
     def _serve(self, conn: socket.socket) -> None:
@@ -116,7 +194,7 @@ class ServiceBroker:
                     elif worker is None:
                         continue  # no completed handshake: ignore the line
                     elif kind == "next":
-                        _send(conn, write_lock, self._store.assign(worker))
+                        _send(conn, write_lock, self._store.next_reply(worker))
                     elif kind in ("heartbeat", "result", "error",
                                   "checkpoint", "release"):
                         parsed = parse_task_id(message.get("task"))
@@ -177,6 +255,10 @@ class SweepService:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         checkpoint_every: Optional[int] = None,
     ) -> None:
+        from repro.runner.cache import ResultCache
+        from repro.runner.journal import ServiceJournal
+        from repro.service.httpapi import ServiceHTTPServer
+
         cache = ResultCache(cache_dir) if cache_dir is not None else None
         journal = (
             ServiceJournal(journal_dir) if journal_dir is not None else None

@@ -150,6 +150,9 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                raise ValueError(f"negative Content-Length {length}")  # repro: noqa[ERR001] -- control flow: caught just below and mapped to a 400 reply
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("the request body must be a JSON object")  # repro: noqa[ERR001] -- control flow: caught just below and mapped to a 400 reply

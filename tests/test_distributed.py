@@ -1,15 +1,14 @@
 """Fault-injection and wire-path tests for the distributed sweep executor.
 
-Apart from the socket-free state-machine tests at the top, every test here
-exercises real sockets: the broker binds an ephemeral localhost port and the
-workers are genuine ``python -m repro worker`` subprocesses (via
-:class:`LocalCluster`), so handshake, leases, heartbeats, retry, exclusion,
-and drain all run over the actual JSON-lines-over-TCP protocol.
+Every test here exercises real sockets: the broker binds an ephemeral
+localhost port and the workers are genuine ``python -m repro worker``
+subprocesses, so handshake, leases, heartbeats, retry, exclusion, and drain
+all run over the actual JSON-lines-over-TCP protocol.  The lease state machine itself is driven socket-free in
+``tests/test_service.py``.
 """
 
 import json
 import os
-import random
 import socket
 import subprocess
 import sys
@@ -29,14 +28,7 @@ from repro.runner import (
     RunSpec,
     SerialExecutor,
 )
-from repro.runner import distributed
-from repro.runner.distributed import (
-    EXCLUSION_BACKOFF,
-    IDLE_DELAY_SECONDS,
-    _handshake,
-    parse_address,
-)
-from repro.runner.supervisor import backoff_delays
+from repro.runner.distributed import _handshake, parse_address
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -72,23 +64,6 @@ class TestParseAddress:
 
 
 class TestBroker:
-    def test_fully_excluded_task_is_still_assignable(self):
-        # Liveness: a task whose excluded set covers every connected worker
-        # has nobody left to serve it; best-effort assignment beats wedging
-        # the sweep forever while all workers poll "idle".
-        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
-        broker._workers = {"a", "b"}
-        broker._tasks[0].excluded = {"a", "b"}
-        reply = broker._assign("a")
-        assert reply["type"] == "task"
-
-    def test_partially_excluded_task_waits_for_an_eligible_worker(self):
-        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
-        broker._workers = {"a", "b"}
-        broker._tasks[0].excluded = {"a"}
-        assert broker._assign("a")["type"] == "idle"
-        assert broker._assign("b")["type"] == "task"
-
     def test_broker_survives_malformed_messages(self):
         # One structurally invalid line (JSON array, missing fields, non-int
         # task id) must not kill the handler thread — the same connection
@@ -123,8 +98,11 @@ class TestBroker:
             sock.sendall(b'{"type": "hello", "worker": "skewed"}\n')
             assert json.loads(reader.readline())["type"] == "welcome"
             sock.sendall(b'{"type": "next"}\n')
-            assert json.loads(reader.readline())["type"] == "task"
-            sock.sendall(b'{"type": "result", "task": 0, "result": {}}\n')
+            task = json.loads(reader.readline())
+            assert task["type"] == "task"
+            sock.sendall((json.dumps({
+                "type": "result", "task": task["task"], "result": {},
+            }) + "\n").encode("utf-8"))
             # The spec must be assignable again (best-effort fallback: we are
             # the only connected worker, even though we are now excluded) —
             # but only after its retry pause, answered with idle meanwhile.
@@ -160,165 +138,6 @@ class TestBroker:
             blocker.close()
 
 
-class FakeClock:
-    """A settable stand-in for ``time.monotonic``."""
-
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self):
-        return self.now
-
-
-@pytest.fixture
-def clock(monkeypatch):
-    fake = FakeClock()
-    monkeypatch.setattr(time, "monotonic", fake)
-    return fake
-
-
-def pauses(seed):
-    """The retry pauses a broker seeded with ``seed`` draws, in order."""
-    return backoff_delays(*EXCLUSION_BACKOFF, rng=random.Random(seed))
-
-
-class TestExclusionFallbackPacing:
-    """The best-effort exclusion fallback waits out a backoff pause.
-
-    Driven socket-free on the broker state machine with a fake clock and a
-    seeded rng, so every pause is known exactly.
-    """
-
-    def _broker(self, workers):
-        broker = Broker(
-            [tightloop_spec(4).to_dict()], lease_seconds=10.0,
-            rng=random.Random(7),
-        )
-        broker._workers = set(workers)
-        return broker
-
-    def test_excluded_worker_idles_until_the_pause_has_passed(self, clock):
-        broker = self._broker({"sick"})
-        assert broker._assign("sick")["type"] == "task"
-        broker._report_error(0, "sick", "boom")
-        retry_at = clock.now + next(pauses(7))
-        assert broker._tasks[0].retry_at == retry_at
-        assert broker._assign("sick")["type"] == "idle"
-        clock.now = retry_at - 1e-6
-        assert broker._assign("sick")["type"] == "idle"
-        clock.now = retry_at
-        assert broker._assign("sick")["type"] == "task"
-
-    def test_fresh_worker_gets_the_requeued_task_at_once(self, clock):
-        broker = self._broker({"sick"})
-        broker._assign("sick")
-        broker._report_error(0, "sick", "boom")
-        broker._workers.add("fresh")
-        assert broker._assign("sick")["type"] == "idle"
-        assert broker._assign("fresh")["type"] == "task"
-        assert broker._tasks[0].attempts == 2
-
-    def test_single_worker_fleet_still_reaches_its_retries(self, clock):
-        broker = self._broker({"only"})
-        expected = pauses(7)
-        for attempt in range(1, 4):
-            assert broker._assign("only")["type"] == "task"
-            assert broker._tasks[0].attempts == attempt
-            broker._report_error(0, "only", f"boom {attempt}")
-            if attempt < 3:
-                # Each pause follows the backoff schedule, so it grows.
-                assert broker._tasks[0].retry_at == clock.now + next(expected)
-                assert broker._assign("only")["type"] == "idle"
-                clock.now = broker._tasks[0].retry_at
-        assert broker.stats["failed"] == 1 and broker.stats["requeued"] == 2
-        assert broker._assign("only")["type"] == "drain"
-
-    def test_expired_lease_requeue_is_paced_too(self, clock):
-        broker = self._broker({"only"})
-        broker._assign("only")
-        with broker._lock:
-            broker._requeue_or_fail_locked(
-                broker._tasks[0], "lease expired", exclude=True
-            )
-        assert broker._assign("only")["type"] == "idle"
-        clock.now = broker._tasks[0].retry_at
-        assert broker._assign("only")["type"] == "task"
-
-
-class _SignallingCondition(threading.Condition):
-    """A condition that reports when a thread starts waiting on it."""
-
-    def __init__(self, lock):
-        super().__init__(lock)
-        self.waiting = threading.Event()
-
-    def wait(self, timeout=None):
-        self.waiting.set()
-        return super().wait(timeout)
-
-
-class TestIdleHold:
-    """An idle worker's ``next`` is held until work or the drain arrives.
-
-    Socket-free: ``_next_reply`` runs on a helper thread.  The hold is
-    stretched far past the test's run time, so a reply at all proves a state
-    change woke the held worker, not the timeout.
-    """
-
-    @pytest.fixture(autouse=True)
-    def long_hold(self, monkeypatch):
-        monkeypatch.setattr(distributed, "IDLE_HOLD_SECONDS", 60.0)
-
-    def _broker(self, max_attempts=3):
-        broker = Broker(
-            [tightloop_spec(4).to_dict()], lease_seconds=10.0,
-            max_attempts=max_attempts, rng=random.Random(7),
-        )
-        broker._workers = {"busy", "idle"}
-        broker._changed = _SignallingCondition(broker._lock)
-        assert broker._assign("busy")["type"] == "task"
-        return broker
-
-    def _hold(self, broker, worker):
-        replies = []
-        thread = threading.Thread(
-            target=lambda: replies.append(broker._next_reply(worker))
-        )
-        thread.start()
-        assert broker._changed.waiting.wait(10.0)
-        return thread, replies
-
-    def test_last_task_going_terminal_drains_the_held_worker(self):
-        broker = self._broker(max_attempts=1)
-        thread, replies = self._hold(broker, "idle")
-        broker._report_error(0, "busy", "boom")  # last attempt: terminal
-        thread.join(10.0)
-        assert replies == [{"type": "drain"}]
-
-    def test_requeued_task_goes_to_the_held_worker(self):
-        broker = self._broker()
-        thread, replies = self._hold(broker, "idle")
-        broker._report_error(0, "busy", "boom")  # requeued, "busy" excluded
-        thread.join(10.0)
-        assert [reply["type"] for reply in replies] == ["task"]
-        assert broker._tasks[0].worker == "idle"
-
-    def test_a_hold_that_runs_out_answers_idle_without_delay(self, monkeypatch):
-        monkeypatch.setattr(distributed, "IDLE_HOLD_SECONDS", 0.0)
-        broker = self._broker()
-        assert broker._next_reply("idle") == {"type": "idle", "delay": 0.0}
-
-    def test_a_queue_of_excluded_tasks_is_not_held(self, clock):
-        # The retry pause is the fallback's own wait: the excluded worker
-        # is answered at once and told to pause like any idle poll.
-        broker = self._broker()
-        broker._workers = {"busy"}
-        broker._report_error(0, "busy", "boom")
-        assert broker._next_reply("busy") == {
-            "type": "idle", "delay": IDLE_DELAY_SECONDS,
-        }
-
-
 class TestWirePath:
     def test_close_stops_every_broker_thread(self):
         broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
@@ -326,7 +145,7 @@ class TestWirePath:
         sock, *_ = _handshake("127.0.0.1", broker.port, "probe")
         try:
             broker.close()
-            threads = broker._plane.threads
+            threads = broker._broker.threads
             assert len(threads) == 3  # acceptor, lease monitor, one handler
             assert not any(thread.is_alive() for thread in threads)
         finally:
@@ -339,7 +158,7 @@ class TestWirePath:
             # _handshake dials with _connect; the welcome proves the broker
             # accepted the connection and handed it to its handler.
             sock, *_ = _handshake("127.0.0.1", broker.port, "probe")
-            (accepted,) = broker._plane.connections
+            (accepted,) = broker._broker.connections
             for end in (sock, accepted):
                 assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             sock.close()
@@ -503,7 +322,7 @@ class TestRunnerIntegration:
 
 class TestWireProtocol:
     def test_external_cli_worker_drains_a_broker(self):
-        # The zero-LocalCluster path: a broker plus a manually launched
+        # The external-worker path: a broker plus a manually launched
         # `python -m repro worker --connect` subprocess, exactly what a
         # remote host would run.
         specs = [tightloop_spec(4), tightloop_spec(8)]
@@ -725,7 +544,7 @@ class TestWireProtocol:
         assert connect_host("sweephost") == "sweephost"
 
     def test_wildcard_bind_with_local_workers_completes(self):
-        # Combined-mode regression: LocalCluster used to dial the wildcard
+        # Combined-mode regression: local workers used to dial the wildcard
         # bind address verbatim, which is not a dialable host everywhere.
         executor = DistributedExecutor(
             workers=1, host="0.0.0.0", lease_seconds=10.0

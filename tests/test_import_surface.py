@@ -105,6 +105,7 @@ class TestImportSurface:
             "repro.experiments",
             "repro.runner.service_client",
             "repro.runner.chaos",
+            "repro.service",
             "urllib.request",
         ]) == []
 

@@ -15,9 +15,11 @@ Three layers:
   grids and kill points via the embedded chaos drill).
 """
 
+import json
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -32,14 +34,18 @@ from repro.runner import (
     JournalWarning,
     RunSpec,
     SerialExecutor,
+    ServiceJournal,
     TaskReplay,
 )
 from repro.runner.chaos import (
     ChaosSchedule,
     KillEvent,
+    results_identical,
     run_embedded_drill,
     verify_against_serial,
 )
+from repro.runner.distributed import run_worker
+from repro.runner.executor import execute_spec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -352,6 +358,77 @@ class TestBrokerRestartRecovery:
             broker = Broker(payloads, journal_dir=str(tmp_path))
             assert broker.stats["replayed"] == 1
             assert broker.outstanding() == 0
+
+
+class TestJoblessJournalCompatibility:
+    """A journal written before sweeps ran as one-job stores still resumes.
+
+    Its task records carry no ``job`` field.  Replay is by spec key, so a
+    journaled :class:`Broker` adopts them exactly as before.
+    """
+
+    def _write_jobless_journal(self, directory, done, retried):
+        result = json.dumps(execute_spec(done).to_dict(), separators=(",", ":"))
+        lines = [
+            '{"format":"wisync-broker-journal","version":1}',
+            f'{{"kind":"assigned","key":"{done.key()}","worker":"w1"}}',
+            f'{{"kind":"completed","key":"{done.key()}","result":{result}}}',
+            f'{{"kind":"assigned","key":"{retried.key()}","worker":"w1"}}',
+            f'{{"kind":"excluded","key":"{retried.key()}","worker":"w1",'
+            f'"reason":"boom"}}',
+            f'{{"kind":"assigned","key":"{retried.key()}","worker":"w2"}}',
+        ]
+        path = Path(directory) / "journal.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_broker_resumes_a_jobless_journal(self, tmp_path):
+        done, retried, fresh = (
+            tightloop_spec(8), tightloop_spec(16), tightloop_spec(4),
+        )
+        specs = [done, retried, fresh]
+        path = self._write_jobless_journal(tmp_path, done, retried)
+        broker = Broker(
+            [spec.to_dict() for spec in specs],
+            journal_dir=str(tmp_path), lease_seconds=10.0,
+        )
+        assert broker.stats["replayed"] == 1
+        assert broker.outstanding() == 2
+        task = broker._store._jobs[broker._job].tasks[1]
+        # Two assignments, the second in flight at death and refunded.
+        assert task.attempts == 1
+        assert task.excluded == {"w1"}
+        assert task.errors == ["boom"]
+        broker.start()
+        try:
+            worker = threading.Thread(
+                target=run_worker, args=("127.0.0.1", broker.port), daemon=True
+            )
+            worker.start()
+            collected = {}
+            for kind, position, payload in broker.events():
+                assert kind == "result"
+                collected[position] = payload
+            worker.join(timeout=30)
+        finally:
+            broker.close()
+        assert broker.stats["assigned"] == 2  # the finished spec never re-ran
+        serial = SerialExecutor().run(specs)
+        assert sorted(collected) == [0, 1, 2]
+        for position, result in collected.items():
+            assert results_identical(result, serial[position])
+        # New records carry the job field and no job-submitted record.
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        added = records[6:]
+        assert added and all(record.get("job") == broker._job for record in added)
+        assert not any(r.get("kind") == "job-submitted" for r in records)
+
+    def test_service_journal_still_warns_on_jobless_records(self, tmp_path):
+        self._write_jobless_journal(
+            tmp_path, tightloop_spec(8), tightloop_spec(16)
+        )
+        with pytest.warns(JournalWarning, match="job-less record"):
+            assert ServiceJournal(tmp_path).replay_jobs() == {}
 
 
 class TestRestartRecoveryProperty:

@@ -437,7 +437,7 @@ class TestSnap002:
 # -------------------------------------------------------------- PROTO001
 class TestProto001:
     DISTRIBUTED = """
-        class Broker:
+        class JobStore:
             def serve(self, kind):
                 if kind == "hello":
                     return {"type": "welcome"}
@@ -464,7 +464,7 @@ class TestProto001:
     def test_flags_journaled_but_never_replayed_kind(self, tmp_path):
         write_tree(tmp_path, {
             "runner/distributed.py": """
-                class Broker:
+                class JobStore:
                     def record(self):
                         self._journal_append({"kind": "assigned", "task": 1})
                         self._journal_append({"kind": "zombie", "task": 2})
@@ -489,9 +489,9 @@ class TestProto001:
         assert lint(tmp_path, select=["PROTO001"]) == []
 
     def test_service_module_kind_without_worker_handler_is_flagged(self, tmp_path):
-        # The service daemon sends over the same wire protocol: a kind built
-        # inside ServiceBroker/JobStore that no worker-side code compares
-        # must close the vocabulary exactly like a Broker-sent kind.
+        # The worker message loop sends over the same wire protocol: a kind
+        # built inside ServiceBroker that no worker-side code compares must
+        # close the vocabulary exactly like a JobStore-sent kind.
         closed = self.DISTRIBUTED.replace('return {"type": "orphan"}', "return None")
         write_tree(tmp_path, {
             "runner/distributed.py": closed,
@@ -533,7 +533,7 @@ class TestProto001:
     def test_service_journal_kind_without_replay_is_flagged(self, tmp_path):
         write_tree(tmp_path, {
             "runner/distributed.py": """
-                class Broker:
+                class JobStore:
                     def record(self):
                         self._journal_append({"kind": "assigned", "task": 1})
             """,

@@ -11,6 +11,7 @@ never reach a worker twice.
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -21,7 +22,7 @@ from repro.experiments.fig7_tightloop import fig7_sweep
 from repro.machine.results import SimResult
 from repro.runner import ResultCache, Runner, RunSpec, SerialExecutor, SweepSpec
 from repro.runner.chaos import results_identical
-from repro.runner.distributed import EXCLUSION_BACKOFF, _handshake, run_worker
+from repro.runner.distributed import _handshake, run_worker
 from repro.runner.executor import execute_spec
 from repro.runner.journal import ServiceJournal
 from repro.runner.service_client import ServiceClient, ServiceExecutor
@@ -37,6 +38,8 @@ from repro.service import (
     format_task_id,
     parse_task_id,
 )
+from repro.service import jobstore
+from repro.service.jobstore import EXCLUSION_BACKOFF, IDLE_DELAY_SECONDS
 
 
 def tightloop_spec(num_cores=8, iterations=2):
@@ -102,6 +105,29 @@ class TestJobStoreBasics:
     def test_bad_priority_is_rejected(self):
         with pytest.raises(ConfigurationError, match="priority"):
             JobStore().submit(small_sweep(), priority=0)
+        # bool is an int subclass: True must not pass as priority 1.
+        with pytest.raises(ConfigurationError, match="priority"):
+            JobStore().submit(small_sweep(), priority=True)
+
+    def test_fully_excluded_task_is_still_assignable(self):
+        # Liveness: a task whose excluded set covers every connected worker
+        # has nobody left to serve it; best-effort assignment beats wedging
+        # the job forever while all workers poll "idle".
+        store = JobStore()
+        job = store.submit(small_sweep(cores=(4,)))
+        store.claim_worker("a")
+        store.claim_worker("b")
+        store._jobs[job["job"]].tasks[0].excluded = {"a", "b"}
+        assert store.assign("a")["type"] == "task"
+
+    def test_partially_excluded_task_waits_for_an_eligible_worker(self):
+        store = JobStore()
+        job = store.submit(small_sweep(cores=(4,)))
+        store.claim_worker("a")
+        store.claim_worker("b")
+        store._jobs[job["job"]].tasks[0].excluded = {"a"}
+        assert store.assign("a")["type"] == "idle"
+        assert store.assign("b")["type"] == "task"
 
     def test_worker_name_collisions_get_ordinals(self):
         store = JobStore()
@@ -128,51 +154,279 @@ class TestJobStoreBasics:
         assert parse_task_id(message["task"])[0] == b["job"]
 
 
+@pytest.fixture
+def clock(monkeypatch):
+    """A settable stand-in for ``time.monotonic``."""
+    now = [1000.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    return now
+
+
+def pauses(seed):
+    """The retry pauses a store seeded with ``seed`` draws, in order."""
+    return backoff_delays(*EXCLUSION_BACKOFF, rng=random.Random(seed))
+
+
 class TestExclusionFallbackPacing:
-    """The store's exclusion fallback waits out the same backoff pause as
-    the single-sweep broker's (socket-free: fake clock, seeded rng)."""
+    """The best-effort exclusion fallback waits out a backoff pause.
 
-    @pytest.fixture
-    def clock(self, monkeypatch):
-        now = [1000.0]
-        monkeypatch.setattr(time, "monotonic", lambda: now[0])
-        return now
+    Driven socket-free on the store with a fake clock and a seeded rng, so
+    every pause is known exactly.
+    """
 
-    def _store_with_failed_task(self, workers):
+    def _store(self, workers, sealed=False):
         store = JobStore(max_attempts=3, rng=random.Random(7))
-        store.submit(small_sweep(cores=(4,)))
+        job = store.submit(small_sweep(cores=(4,)))
+        if sealed:
+            store.seal()
         for worker in workers:
             store.claim_worker(worker)
-        message = store.assign("sick")
-        job_id, position = parse_task_id(message["task"])
-        store.error(job_id, position, "sick", "boom")
-        return store, job_id, position
+        return store, job["job"], store._jobs[job["job"]].tasks[0]
 
     def test_excluded_worker_idles_until_the_pause_has_passed(self, clock):
-        store, job_id, position = self._store_with_failed_task(["sick"])
-        pause = next(backoff_delays(*EXCLUSION_BACKOFF, rng=random.Random(7)))
+        store, job_id, task = self._store(["sick"])
+        message = store.assign("sick")
+        position = parse_task_id(message["task"])[1]
+        store.error(job_id, position, "sick", "boom")
+        retry_at = clock[0] + next(pauses(7))
+        assert task.retry_at == retry_at
         assert store.assign("sick")["type"] == "idle"
-        clock[0] += pause - 1e-6
+        clock[0] = retry_at - 1e-6
         assert store.assign("sick")["type"] == "idle"
-        clock[0] += 1e-6
+        clock[0] = retry_at
         message = store.assign("sick")
         assert parse_task_id(message["task"]) == (job_id, position)
 
     def test_fresh_worker_gets_the_requeued_task_at_once(self, clock):
-        store, job_id, position = self._store_with_failed_task(["sick"])
+        store, job_id, task = self._store(["sick"])
+        store.assign("sick")
+        store.error(job_id, 0, "sick", "boom")
         fresh = store.claim_worker("fresh")
         assert store.assign("sick")["type"] == "idle"
-        assert parse_task_id(store.assign(fresh)["task"]) == (job_id, position)
+        assert parse_task_id(store.assign(fresh)["task"]) == (job_id, 0)
+        assert task.attempts == 2
 
     def test_single_worker_fleet_still_reaches_its_retries(self, clock):
-        store, job_id, position = self._store_with_failed_task(["sick"])
-        for _ in range(2):
-            clock[0] += EXCLUSION_BACKOFF[1] * 1.5  # past any pause
-            message = store.assign("sick")
-            assert parse_task_id(message["task"]) == (job_id, position)
-            store.error(job_id, position, "sick", "boom")
+        store, job_id, task = self._store(["only"], sealed=True)
+        expected = pauses(7)
+        for attempt in range(1, 4):
+            assert store.assign("only")["type"] == "task"
+            assert task.attempts == attempt
+            store.error(job_id, 0, "only", f"boom {attempt}")
+            if attempt < 3:
+                # Each pause follows the backoff schedule, so it grows.
+                assert task.retry_at == clock[0] + next(expected)
+                assert store.assign("only")["type"] == "idle"
+                clock[0] = task.retry_at
         assert store.job_summary(job_id)["state"] == JOB_FAILED
-        assert store.stats["requeued"] == 2
+        assert store.stats["failed"] == 1 and store.stats["requeued"] == 2
+        assert store.assign("only")["type"] == "drain"  # sealed and settled
+
+    def test_expired_lease_requeue_is_paced_too(self, clock):
+        store, job_id, task = self._store(["only"])
+        store.assign("only")
+        clock[0] = task.deadline + 1.0
+        store.expire_leases()
+        assert store.stats["expired"] == 1
+        assert store.assign("only")["type"] == "idle"
+        clock[0] = task.retry_at
+        assert store.assign("only")["type"] == "task"
+
+
+class _SignallingCondition(threading.Condition):
+    """A condition that reports when a thread starts waiting on it."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
+class TestIdleHold:
+    """An idle worker's ``next`` is held until work or the drain arrives.
+
+    Socket-free: ``next_reply`` runs on a helper thread.  The hold is
+    stretched far past the test's run time, so a reply at all proves a state
+    change woke the held worker, not the timeout.
+    """
+
+    @pytest.fixture(autouse=True)
+    def long_hold(self, monkeypatch):
+        monkeypatch.setattr(jobstore, "IDLE_HOLD_SECONDS", 60.0)
+
+    def _store(self, max_attempts=3):
+        store = JobStore(max_attempts=max_attempts, rng=random.Random(7))
+        job = store.submit(small_sweep(cores=(4,)))
+        store.seal()
+        store.claim_worker("busy")
+        store.claim_worker("idle")
+        store._changed = _SignallingCondition(store._lock)
+        assert store.assign("busy")["type"] == "task"
+        return store, job["job"]
+
+    def _hold(self, store, worker):
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(store.next_reply(worker))
+        )
+        thread.start()
+        assert store._changed.waiting.wait(10.0)
+        return thread, replies
+
+    def test_last_task_going_terminal_drains_the_held_worker(self):
+        store, job_id = self._store(max_attempts=1)
+        thread, replies = self._hold(store, "idle")
+        store.error(job_id, 0, "busy", "boom")  # last attempt: terminal
+        thread.join(10.0)
+        assert replies == [{"type": "drain"}]
+
+    def test_requeued_task_goes_to_the_held_worker(self):
+        store, job_id = self._store()
+        thread, replies = self._hold(store, "idle")
+        store.error(job_id, 0, "busy", "boom")  # requeued, "busy" excluded
+        thread.join(10.0)
+        assert [reply["type"] for reply in replies] == ["task"]
+        assert store._jobs[job_id].tasks[0].worker == "idle"
+
+    def test_a_hold_that_runs_out_answers_idle_without_delay(self, monkeypatch):
+        monkeypatch.setattr(jobstore, "IDLE_HOLD_SECONDS", 0.0)
+        store, _ = self._store()
+        assert store.next_reply("idle") == {"type": "idle", "delay": 0.0}
+
+    def test_a_queue_of_excluded_tasks_is_not_held(self, clock):
+        # The retry pause is the fallback's own wait: the excluded worker
+        # is answered at once and told to pause like any idle poll.
+        store, job_id = self._store()
+        store.drop_worker("idle")
+        store.error(job_id, 0, "busy", "boom")
+        assert store.next_reply("busy") == {
+            "type": "idle", "delay": IDLE_DELAY_SECONDS,
+        }
+
+    def test_submission_wakes_a_held_worker_of_an_unsealed_store(self):
+        # The service never seals its store: a worker held idle there is
+        # woken by the next submission, not by a drain.
+        store = JobStore()
+        store.claim_worker("w")
+        store._changed = _SignallingCondition(store._lock)
+        thread, replies = self._hold(store, "w")
+        store.submit(small_sweep(cores=(4,)))
+        thread.join(10.0)
+        assert [reply["type"] for reply in replies] == ["task"]
+
+
+class TestOneJobSession:
+    """What a distributed sweep's one-job store adds: sealing, deadlines,
+    abort and the completion-order outcome stream (socket-free)."""
+
+    def _sealed(self, tmp_path=None, **kwargs):
+        journal = (
+            ServiceJournal(tmp_path / "journal") if tmp_path is not None else None
+        )
+        store = JobStore(journal=journal, **kwargs)
+        job = store.submit(small_sweep(cores=(4, 8)), replay={})["job"]
+        store.seal()
+        store.claim_worker("w")
+        return store, job
+
+    def test_sealed_store_takes_no_more_jobs(self):
+        store, _ = self._sealed()
+        with pytest.raises(ServiceError, match="sealed"):
+            store.submit(small_sweep(cores=(16,)))
+
+    def test_events_arrive_in_completion_order(self):
+        store, job = self._sealed()
+        first, second = store.assign("w"), store.assign("w")
+        finish(store, second, "w")
+        store.error(job, parse_task_id(first["task"])[1], "w", "boom")
+        store.claim_worker("v")  # "w" is now excluded from the retry
+        finish(store, store.assign("v"), "v")
+        events = list(store.events(job))
+        assert [(kind, position) for kind, position, _ in events] == [
+            ("result", 1), ("result", 0),
+        ]
+        assert store.assign("w") == {"type": "drain"}
+
+    def test_spec_deadline_times_out_only_the_wedged_spec(self, clock):
+        store, job = self._sealed(spec_deadline_seconds=5.0)
+        store.assign("w")
+        clock[0] += 6.0
+        store.expire_leases()
+        assert store.timed_out_positions(job) == {0}
+        assert store.stats["timed_out"] == 1
+        finish(store, store.assign("w"), "w")
+        kinds = {position: kind for kind, position, _ in store.events(job)}
+        assert kinds == {0: "failed", 1: "result"}
+
+    def test_job_deadline_fails_every_live_spec(self, clock):
+        store, job = self._sealed(sweep_deadline_seconds=5.0)
+        store.assign("w")
+        clock[0] += 6.0
+        store.expire_leases()
+        assert store.timed_out_positions(job) == {0, 1}
+        failed = [payload for kind, _, payload in store.events(job)]
+        assert all("sweep budget exhausted" in reason for reason in failed)
+        assert store.assign("w") == {"type": "drain"}
+
+    def test_abort_and_deadlines_are_not_journaled(self, tmp_path, clock):
+        store, job = self._sealed(tmp_path, spec_deadline_seconds=5.0)
+        store.assign("w")
+        clock[0] += 6.0
+        store.expire_leases()  # times out position 0
+        store.abort(job, "every local worker exited")
+        store.close_journal()
+        reasons = {position: payload for _, position, payload in store.events(job)}
+        assert "every local worker exited" in reasons[1]
+        records = (tmp_path / "journal" / "journal.jsonl").read_text()
+        assert '"kind":"failed"' not in records
+        assert '"kind":"job-submitted"' not in records  # replay={} session
+        assert '"job":"' + job + '"' in records  # the assignment record
+
+
+    def test_concurrent_workers_and_reader_see_each_outcome_once(self):
+        # More worker threads than cores race on one sealed store while the
+        # sweep host reads events(): every spec is delivered exactly once
+        # and every worker is drained.
+        result = execute_spec(tightloop_spec(4)).to_dict()
+        specs = tuple(tightloop_spec(4, iterations) for iterations in range(2, 42))
+        store = JobStore()
+        job = store.submit(SweepSpec(name="stress", specs=specs), replay={})["job"]
+        store.seal()
+        drained = []
+
+        def work(name):
+            worker = store.claim_worker(name)
+            while True:
+                reply = store.next_reply(worker)
+                if reply["type"] == "drain":
+                    drained.append(worker)
+                    return
+                if reply["type"] == "task":
+                    position = parse_task_id(reply["task"])[1]
+                    store.complete(job, position, worker, result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(f"w{index}",))
+                for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            positions = [
+                position for _, position, _ in store.events(job, poll_interval=0.05)
+            ]
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(positions) == list(range(len(specs)))
+        assert len(drained) == 8
 
 
 class TestFairShare:
@@ -346,6 +600,17 @@ class TestRecovery:
         assert restarted.job_summary(job["job"])["state"] == JOB_CANCELLED
         assert restarted.queue_depth() == 0
 
+    def test_boolean_priority_record_replays_as_the_default(self, tmp_path):
+        # bool is an int subclass: a journaled ``true`` is not priority 1.
+        journal = ServiceJournal(tmp_path / "journal")
+        journal.append({
+            "kind": "job-submitted", "job": "j", "name": "j",
+            "priority": True, "sweep": small_sweep().to_dict(),
+        })
+        journal.close()
+        replayed = ServiceJournal(tmp_path / "journal").replay_jobs()["j"]
+        assert replayed.priority == 1 and replayed.priority is not True
+
     def test_recovery_does_not_rejournal(self, tmp_path):
         store = JobStore(journal=ServiceJournal(tmp_path / "journal"))
         store.submit(small_sweep())
@@ -388,7 +653,7 @@ class TestServiceBrokerSocket:
         sock, *_ = _handshake("127.0.0.1", broker.port, "probe")
         try:
             broker.close()
-            threads = broker._plane.threads
+            threads = broker.threads
             assert len(threads) == 3  # acceptor, lease monitor, one handler
             assert not any(thread.is_alive() for thread in threads)
         finally:
@@ -397,7 +662,7 @@ class TestServiceBrokerSocket:
     def test_both_ends_of_a_worker_connection_disable_nagle(self):
         with SweepService() as svc:
             sock, *_ = _handshake("127.0.0.1", svc.worker_address[1], "probe")
-            (accepted,) = svc.broker._plane.connections
+            (accepted,) = svc.broker.connections
             for end in (sock, accepted):
                 assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             sock.close()
@@ -456,6 +721,27 @@ class TestHttpApi:
             with pytest.raises(ServiceError, match="401"):
                 open_client.jobs()
             assert ServiceClient(svc.http_url, token="sekrit").jobs() == []
+
+    def test_negative_content_length_is_rejected_without_reading(self):
+        # rfile.read(-1) would block until the client hangs up: the reply
+        # must come back while the connection is still open.
+        with SweepService() as svc:
+            host, port = svc.http.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                status = sock.makefile("rb").readline()
+            assert status.split()[1] == b"400"
+            assert svc.store.list_jobs() == []
+
+    def test_boolean_priority_in_a_post_body_is_rejected(self):
+        with SweepService() as svc:
+            client = ServiceClient(svc.http_url)
+            with pytest.raises(ServiceError, match="400"):
+                client.submit(small_sweep(), priority=True)
+            assert client.jobs() == []
 
     def test_client_rejects_non_http_url(self):
         with pytest.raises(ConfigurationError, match="http"):

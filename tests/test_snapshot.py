@@ -20,6 +20,8 @@ still finish bit-identical to serial.
 
 import json
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -31,10 +33,11 @@ from hypothesis import strategies as st
 from goldens import GOLDEN_PATH, golden_specs
 from repro.errors import ConfigurationError, SnapshotError
 from repro.experiments.scenarios import scenario_sweep
-from repro.runner import Broker, RunSpec, SerialExecutor
+from repro.runner import Broker, RunSpec, SerialExecutor, SweepSpec
 from repro.runner.cli import main
-from repro.runner.distributed import DistributedExecutor, LocalCluster
+from repro.runner.distributed import DistributedExecutor
 from repro.runner.executor import execute_spec
+from repro.service import JobStore
 from repro.sim.rng import DeterministicRng
 from repro.snapshot import (
     SNAPSHOT_FORMAT,
@@ -627,10 +630,13 @@ class TestSnapshotCli:
 # Broker checkpoint protocol (in-process state machine)
 # ---------------------------------------------------------------------------
 class TestBrokerCheckpointProtocol:
-    def _broker(self, spec, **kwargs):
-        broker = Broker([spec.to_dict()], lease_seconds=10.0, **kwargs)
-        broker._workers = {"a", "b"}
-        return broker
+    def _store(self, spec, **kwargs):
+        """A one-job store with workers a and b; returns (store, job, task)."""
+        store = JobStore(lease_seconds=10.0, **kwargs)
+        job = store.submit(SweepSpec(name="ckpt", specs=(spec,)))["job"]
+        store.claim_worker("a")
+        store.claim_worker("b")
+        return store, job, store._jobs[job].tasks[0]
 
     def test_rejects_non_positive_checkpoint_every(self):
         with pytest.raises(ConfigurationError, match="positive"):
@@ -639,70 +645,71 @@ class TestBrokerCheckpointProtocol:
     def test_checkpoint_stored_and_replayed_to_next_assignee(self):
         spec = tight()
         document = snapshot_document(snapshot_after(spec, 2000))
-        broker = self._broker(spec, checkpoint_every=2000)
-        assert broker._assign("a")["type"] == "task"
-        broker._store_checkpoint(0, "a", document)
-        assert broker.stats["checkpoints"] == 1
-        broker._release(0, "a", document)
-        assert broker.stats["released"] == 1
+        store, job, task = self._store(spec, checkpoint_every=2000)
+        assert store.assign("a")["type"] == "task"
+        store.checkpoint(job, 0, "a", document)
+        assert store.stats["checkpoints"] == 1
+        store.release(job, 0, "a", document)
+        assert store.stats["released"] == 1
         # The refunded attempt means a clean release never burns retry budget.
-        assert broker._tasks[0].attempts == 0
-        reassigned = broker._assign("b")
+        assert task.attempts == 0
+        reassigned = store.assign("b")
         assert reassigned["type"] == "task"
         assert reassigned["checkpoint_every"] == 2000
         assert parse_document(reassigned["checkpoint"]).events_processed == 2000
-        assert broker.stats["resumed"] == 1
+        assert store.stats["resumed"] == 1
 
     def test_checkpoint_from_non_lease_holder_is_ignored(self):
         spec = tight()
-        broker = self._broker(spec)
-        broker._assign("a")
-        broker._store_checkpoint(
-            0, "b", snapshot_document(snapshot_after(spec, 2000))
+        store, job, task = self._store(spec)
+        store.assign("a")
+        store.checkpoint(
+            job, 0, "b", snapshot_document(snapshot_after(spec, 2000))
         )
-        assert broker.stats["checkpoints"] == 0
-        assert broker._tasks[0].checkpoint is None
+        assert store.stats["checkpoints"] == 0
+        assert task.checkpoint is None
 
     def test_corrupt_shipment_keeps_the_previous_checkpoint(self):
         spec = tight()
-        broker = self._broker(spec)
-        broker._assign("a")
+        store, job, task = self._store(spec)
+        store.assign("a")
         good = snapshot_document(snapshot_after(spec, 2000))
-        broker._store_checkpoint(0, "a", good)
+        store.checkpoint(job, 0, "a", good)
         bad = snapshot_document(snapshot_after(spec, 3000))
         bad["sha256"] = "0" * 64
-        broker._store_checkpoint(0, "a", bad)
-        assert broker.stats["checkpoints"] == 1
-        assert broker._tasks[0].checkpoint.events_processed == 2000
+        store.checkpoint(job, 0, "a", bad)
+        assert store.stats["checkpoints"] == 1
+        assert task.checkpoint.events_processed == 2000
 
     def test_wrong_spec_shipment_is_ignored(self):
         spec = tight()
-        broker = self._broker(spec)
-        broker._assign("a")
+        store, job, task = self._store(spec)
+        store.assign("a")
         foreign = snapshot_document(snapshot_after(tight(seed=9), 2000))
-        broker._store_checkpoint(0, "a", foreign)
-        assert broker._tasks[0].checkpoint is None
+        store.checkpoint(job, 0, "a", foreign)
+        assert task.checkpoint is None
 
     def test_checkpoints_preloaded_from_disk(self, tmp_path):
         spec = tight()
         save_snapshot(snapshot_after(spec, 2500), checkpoint_path(tmp_path, spec))
-        broker = self._broker(spec, checkpoint_dir=str(tmp_path))
-        assert broker._tasks[0].checkpoint.events_processed == 2500
-        message = broker._assign("a")
+        store, _, task = self._store(spec, checkpoint_dir=str(tmp_path))
+        assert task.checkpoint.events_processed == 2500
+        message = store.assign("a")
         assert parse_document(message["checkpoint"]).events_processed == 2500
 
     def test_completion_deletes_the_persisted_checkpoint(self, tmp_path):
         spec = tight()
-        broker = self._broker(spec, checkpoint_every=2000,
-                              checkpoint_dir=str(tmp_path))
-        broker._assign("a")
-        broker._store_checkpoint(
-            0, "a", snapshot_document(snapshot_after(spec, 2000))
+        store, job, task = self._store(
+            spec, checkpoint_every=2000, checkpoint_dir=str(tmp_path)
+        )
+        store.assign("a")
+        store.checkpoint(
+            job, 0, "a", snapshot_document(snapshot_after(spec, 2000))
         )
         assert checkpoint_path(tmp_path, spec).exists()
-        broker._complete(0, "a", execute_spec(spec).to_dict())
+        store.complete(job, 0, "a", execute_spec(spec).to_dict())
         assert not checkpoint_path(tmp_path, spec).exists()
-        assert broker._tasks[0].checkpoint is None
+        assert task.checkpoint is None
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +722,22 @@ def _wait_for(predicate, timeout=30.0, interval=0.02):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def _worker(port):
+    """One ``repro worker`` subprocess on the broker at ``port``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker",
+         "--connect", f"127.0.0.1:{port}", "--heartbeat", "0.1"],
+        env={"PYTHONPATH": src}, stdout=subprocess.DEVNULL,
+    )
+
+
+def _reap(proc):
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
 
 
 class TestDistributedCheckpointing:
@@ -743,17 +766,21 @@ class TestDistributedCheckpointing:
             [spec.to_dict()], lease_seconds=10.0, checkpoint_every=2000
         ).start()
         try:
-            first = LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1)
+            first = _worker(broker.port)
             try:
                 assert _wait_for(lambda: broker.stats["checkpoints"] >= 1)
-                first.procs[0].send_signal(signal.SIGTERM)
-                assert first.procs[0].wait(timeout=30) == 0
+                first.send_signal(signal.SIGTERM)
+                assert first.wait(timeout=30) == 0
                 assert _wait_for(lambda: broker.stats["released"] >= 1, timeout=5)
             finally:
-                first.close()
+                _reap(first)
             assert broker.outstanding() == 1  # released, not completed
-            with LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1):
+            second = _worker(broker.port)
+            try:
                 events = list(broker.events())
+                assert second.wait(timeout=30) == 0  # drained
+            finally:
+                _reap(second)
         finally:
             broker.close()
         (kind, position, payload), = events
@@ -773,15 +800,18 @@ class TestDistributedCheckpointing:
             [spec.to_dict()], lease_seconds=10.0, checkpoint_every=2000
         ).start()
         try:
-            first = LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1)
+            first = _worker(broker.port)
             try:
                 assert _wait_for(lambda: broker.stats["checkpoints"] >= 1)
-                first.kill(0)
             finally:
-                first.close()
+                _reap(first)  # SIGKILL
             assert _wait_for(lambda: broker.stats["requeued"] >= 1)
-            with LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1):
+            second = _worker(broker.port)
+            try:
                 events = list(broker.events())
+                assert second.wait(timeout=30) == 0  # drained
+            finally:
+                _reap(second)
         finally:
             broker.close()
         (kind, position, payload), = events
